@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -18,10 +19,11 @@ from .evaluation import (
     machine_report,
     sweep,
 )
-from .kdd import EmptyDatasetError, PROFILES, load_dataset
+from .kdd import DECODE_ERRORS, EmptyDatasetError, PROFILES, load_dataset, open_text
 from .modelio import (
     ModelFormatError,
     ModelIntegrityError,
+    eigen_residuals,
     load_model,
     save_model,
     verify_model,
@@ -96,27 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trainer_config(args) -> TrainerConfig:
-    defaults = TrainerConfig()
-    preset = PRESETS.get(args.preset) if args.preset else None
-    q = args.q if args.q is not None else (preset["q"] if preset else None)
-    r = args.r if args.r is not None else (preset["r"] if preset else None)
+    """Defaults, overridden by the preset's q/r, overridden by explicit flags."""
+    preset = PRESETS.get(args.preset, {})
+    layers = (
+        {"q_override": preset.get("q"), "r_override": preset.get("r")},
+        {
+            "variance_target": args.variance_target,
+            "minor_cutoff": args.minor_cutoff,
+            "alpha_major": args.alpha_major,
+            "alpha_minor": args.alpha_minor,
+            "q_override": args.q,
+            "r_override": args.r,
+        },
+    )
     return TrainerConfig(
-        variance_target=(
-            args.variance_target
-            if args.variance_target is not None
-            else defaults.variance_target
-        ),
-        minor_cutoff=(
-            args.minor_cutoff if args.minor_cutoff is not None else defaults.minor_cutoff
-        ),
-        alpha_major=(
-            args.alpha_major if args.alpha_major is not None else defaults.alpha_major
-        ),
-        alpha_minor=(
-            args.alpha_minor if args.alpha_minor is not None else defaults.alpha_minor
-        ),
-        q_override=q,
-        r_override=r,
+        **{key: value for layer in layers for key, value in layer.items() if value is not None}
     )
 
 
@@ -170,9 +166,11 @@ def cmd_evaluate(args) -> int:
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.input:
-        source = open(args.input, "r", encoding="utf-8")
+        source = open_text(args.input)
     else:
         source = sys.stdin
+        if isinstance(source, io.TextIOWrapper):
+            source.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
     attacks = normals = errors = 0
     try:
         for item in classify_stream(model, source):
@@ -236,14 +234,12 @@ def cmd_inspect(args) -> int:
     model = load_model(args.model, verify=False)
     issues = verify_model(model)
     p = model.p
-    values = model.eigen.values
-    total = float(np.sum(values))
 
     print(f"profile: {model.profile.name} (p={p})")
     print(f"features: {', '.join(model.profile.feature_names())}")
     print(f"{'component':>10}{'eigenvalue':>14}{'cumulative':>12}")
     running = 0.0
-    for i, lam in enumerate(values, start=1):
+    for i, lam in enumerate(model.eigen.values, start=1):
         running += float(lam)
         print(f"{i:>10}{lam:>14.6f}{running / p:>12.4f}")
     print(f"selected q={model.q} r={model.r}")
@@ -255,17 +251,14 @@ def cmd_inspect(args) -> int:
     )
     print(f"encoder: {sizes}")
 
-    sum_residual = abs(total - p)
-    gram = model.eigen.vectors.T @ model.eigen.vectors - np.eye(p)
-    gram_residual = float(np.max(np.abs(gram)))
-    sum_ok = sum_residual <= 1e-9 * p
+    eigen_sum, orthonormality = eigen_residuals(model)
     print(
-        f"eigenvalue-sum residual |sum - p| = {sum_residual:.3e} "
-        f"[{'PASS' if sum_ok else 'FAIL'}]"
+        f"eigenvalue-sum residual |sum - p| = {eigen_sum.value:.3e} "
+        f"[{'PASS' if eigen_sum.ok else 'FAIL'}]"
     )
     print(
-        f"orthonormality residual = {gram_residual:.3e} "
-        f"[{'PASS' if gram_residual <= 1e-8 else 'FAIL'}]"
+        f"orthonormality residual = {orthonormality.value:.3e} "
+        f"[{'PASS' if orthonormality.ok else 'FAIL'}]"
     )
     if issues:
         for issue in issues:

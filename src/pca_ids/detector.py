@@ -8,21 +8,23 @@ stays normal.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kdd import ConnectionRecord, MalformedRow, extract_features, parse_record
+from .kdd import (
+    ConnectionRecord,
+    MalformedRow,
+    encode_matrix,
+    extract_features,
+    parse_record,
+)
 from .mvstats import EIGENVALUE_FLOOR, standardize, project
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
-
-THREADS_ENV_VAR = "PCA_IDS_THREADS"
 
 
 class Trigger(Enum):
@@ -63,99 +65,81 @@ class StreamVerdict:
     error: str | None = None
 
 
-def major_score(y: np.ndarray, eigenvalues: np.ndarray, q: int) -> float:
-    """Sum of y_i^2 / lambda_i over the q largest-eigenvalue components."""
+def _weighted_sum(y: np.ndarray, eigenvalues: np.ndarray):
+    lam = np.maximum(eigenvalues, EIGENVALUE_FLOOR)
+    total = (y * y / lam).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def major_score(y: np.ndarray, eigenvalues: np.ndarray, q: int):
+    """Sum of y_i^2 / lambda_i over the q largest-eigenvalue components.
+
+    A p-vector gives a float, an n x p matrix one score per row.
+    """
     y = np.asarray(y, dtype=float)
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    p = y.shape[0]
+    p = y.shape[-1]
     if not 1 <= q <= p:
         raise ValueError(f"q must be in 1..{p}, got {q}")
-    lam = np.maximum(eigenvalues[:q], EIGENVALUE_FLOOR)
-    return float(np.sum(y[:q] * y[:q] / lam))
+    return _weighted_sum(y[..., :q], np.asarray(eigenvalues, dtype=float)[:q])
 
 
-def minor_score(y: np.ndarray, eigenvalues: np.ndarray, r: int) -> float:
-    """Sum of y_i^2 / lambda_i over the r smallest-eigenvalue components."""
+def minor_score(y: np.ndarray, eigenvalues: np.ndarray, r: int):
+    """Sum of y_i^2 / lambda_i over the r smallest-eigenvalue components.
+
+    A p-vector gives a float, an n x p matrix one score per row.
+    """
     y = np.asarray(y, dtype=float)
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    p = y.shape[0]
+    p = y.shape[-1]
     if not 0 <= r <= p:
         raise ValueError(f"r must be in 0..{p}, got {r}")
-    if r == 0:
-        return 0.0
-    lam = np.maximum(eigenvalues[p - r :], EIGENVALUE_FLOOR)
-    tail = y[p - r :]
-    return float(np.sum(tail * tail / lam))
+    return _weighted_sum(y[..., p - r :], np.asarray(eigenvalues, dtype=float)[p - r :])
 
 
-def _record_scores(model: "PcaModel", record: ConnectionRecord) -> tuple[float, float, bool]:
-    fv = extract_features(record, model.profile, model.encoder)
-    z = standardize(fv.values, model.standardizer)
-    y = project(z, model.eigen)
-    majc = major_score(y, model.eigen.values, model.q)
-    minc = minor_score(y, model.eigen.values, model.r)
-    return majc, minc, fv.unknown_token
+def _scores(model: "PcaModel", x: np.ndarray):
+    """(major, minor) scores of one encoded p-vector or of an n x p matrix."""
+    y = project(standardize(x, model.standardizer), model.eigen)
+    return (
+        major_score(y, model.eigen.values, model.q),
+        minor_score(y, model.eigen.values, model.r),
+    )
+
+
+def over_thresholds(majc, minc, t_major: float, t_minor: float | None, r: int):
+    """The strict two-threshold rule: (over_major, over_minor).
+
+    Works on scalars and on score arrays alike; the minor test is False
+    when no minor components are in play.
+    """
+    over_minor = r > 0 and t_minor is not None and minc > t_minor
+    return majc > t_major, over_minor
+
+
+_TRIGGERS = {
+    (False, False): Trigger.NONE,
+    (True, False): Trigger.MAJOR,
+    (False, True): Trigger.MINOR,
+    (True, True): Trigger.BOTH,
+}
 
 
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
-    majc, minc, unknown = _record_scores(model, record)
-    over_major = majc > model.t_major
-    over_minor = model.r > 0 and model.t_minor is not None and minc > model.t_minor
-    if over_major and over_minor:
-        trigger = Trigger.BOTH
-    elif over_major:
-        trigger = Trigger.MAJOR
-    elif over_minor:
-        trigger = Trigger.MINOR
-    else:
-        trigger = Trigger.NONE
-    return Verdict(trigger is not Trigger.NONE, majc, minc, trigger, unknown)
-
-
-def thread_count() -> int:
-    """Worker count for batch scoring, from PCA_IDS_THREADS (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        requested = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
+    fv = extract_features(record, model.profile, model.encoder)
+    majc, minc = _scores(model, fv.values)
+    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor, model.r)]
+    return Verdict(trigger is not Trigger.NONE, majc, minc, trigger, fv.unknown_token)
 
 
 def score_records(
     model: "PcaModel", records: Sequence[ConnectionRecord]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score many records; returns (major, minor, unknown-flag) arrays.
+    """Score many records as one matrix; returns (major, minor, unknown-flag).
 
-    Output order always equals input order. With PCA_IDS_THREADS > 1 the
-    records are scored in contiguous chunks on a thread pool; every record
-    still goes through the exact same per-record arithmetic, so results are
-    identical to the sequential path.
+    Each score is bit-identical to the one ``classify`` gives the record.
     """
-    n = len(records)
-    workers = thread_count()
-
-    def score_chunk(chunk: Sequence[ConnectionRecord]):
-        majc = np.empty(len(chunk))
-        minc = np.empty(len(chunk))
-        unknown = np.empty(len(chunk), dtype=bool)
-        for k, record in enumerate(chunk):
-            majc[k], minc[k], unknown[k] = _record_scores(model, record)
-        return majc, minc, unknown
-
-    if workers <= 1 or n < 2 * workers:
-        return score_chunk(records)
-
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    chunks = [records[bounds[k] : bounds[k + 1]] for k in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(score_chunk, chunks))
-    return (
-        np.concatenate([part[0] for part in parts]),
-        np.concatenate([part[1] for part in parts]),
-        np.concatenate([part[2] for part in parts]),
-    )
+    X, unknown = encode_matrix(records, model.profile, model.encoder)
+    majc, minc = _scores(model, X)
+    return majc, minc, unknown
 
 
 def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:

@@ -4,13 +4,13 @@ and threshold sweeps. The attack class is the positive class throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .detector import score_records
-from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset
+from .detector import over_thresholds, score_records
+from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset, Label
 from .trainer import PcaModel
 
 
@@ -56,33 +56,6 @@ class ConfusionMatrix:
         )
 
 
-def confusion(predictions: Sequence, labels: Sequence) -> ConfusionMatrix:
-    """Tally predictions against ground truth.
-
-    Both sequences may hold Verdict/Label objects or plain booleans; any
-    object with an is_attack attribute works.
-    """
-    if len(predictions) != len(labels):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
-    tp = fn = fp = tn = 0
-    for pred, actual in zip(predictions, labels):
-        predicted_attack = _is_attack(pred)
-        actual_attack = _is_attack(actual)
-        if actual_attack:
-            if predicted_attack:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted_attack:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp, fn, fp, tn)
-
-
 @dataclass(frozen=True)
 class CategoryCount:
     exist: int
@@ -91,6 +64,52 @@ class CategoryCount:
     @property
     def rate(self) -> float | None:
         return self.detected / self.exist if self.exist else None
+
+
+def _attack_mask(items: Sequence) -> np.ndarray:
+    return np.fromiter((_is_attack(item) for item in items), dtype=bool, count=len(items))
+
+
+def _category_masks(labels: Sequence[Label]) -> dict[AttackCategory, np.ndarray]:
+    return {
+        cat: np.fromiter((lab.category is cat for lab in labels), dtype=bool, count=len(labels))
+        for cat in ATTACK_CATEGORIES
+    }
+
+
+def _tally(
+    pred: np.ndarray,
+    actual: np.ndarray,
+    category_masks: dict[AttackCategory, np.ndarray],
+) -> tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]:
+    """Confusion counts, and (exist, detected) per category, of an attack mask."""
+    tp = int(np.count_nonzero(pred & actual))
+    n_attack = int(np.count_nonzero(actual))
+    n_flagged = int(np.count_nonzero(pred))
+    cm = ConfusionMatrix(tp, n_attack - tp, n_flagged - tp, len(pred) - n_attack - n_flagged + tp)
+    categories = {
+        cat: CategoryCount(int(np.count_nonzero(mask)), int(np.count_nonzero(pred & mask)))
+        for cat, mask in category_masks.items()
+        if cat is not AttackCategory.UNKNOWN or mask.any()
+    }
+    return cm, categories
+
+
+def _check_lengths(predictions: Sequence, labels: Sequence) -> None:
+    if len(predictions) != len(labels):
+        raise LengthMismatch(
+            f"{len(predictions)} predictions vs {len(labels)} labels"
+        )
+
+
+def confusion(predictions: Sequence, labels: Sequence) -> ConfusionMatrix:
+    """Tally predictions against ground truth.
+
+    Both sequences may hold Verdict/Label objects or plain booleans; any
+    object with an is_attack attribute works.
+    """
+    _check_lengths(predictions, labels)
+    return _tally(_attack_mask(predictions), _attack_mask(labels), {})[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,65 +153,19 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def per_category(predictions: Sequence, labels: Sequence) -> dict:
+def per_category(predictions: Sequence, labels: Sequence[Label]) -> dict:
     """(exist, detected-as-attack) per attack category.
 
     DOS/PROBE/R2L/U2R rows are always present; UNKNOWN appears only when
     attacks outside the standard taxonomy occur.
     """
-    if len(predictions) != len(labels):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
-    exist = {cat: 0 for cat in ATTACK_CATEGORIES}
-    detected = {cat: 0 for cat in ATTACK_CATEGORIES}
-    for pred, label in zip(predictions, labels):
-        cat = label.category
-        if cat is AttackCategory.NORMAL:
-            continue
-        exist[cat] += 1
-        if _is_attack(pred):
-            detected[cat] += 1
-    table = {
-        cat: CategoryCount(exist[cat], detected[cat])
-        for cat in ATTACK_CATEGORIES
-        if cat is not AttackCategory.UNKNOWN or exist[cat] > 0
-    }
-    return table
-
-
-def apply_thresholds(
-    majc: np.ndarray,
-    minc: np.ndarray,
-    t_major: float,
-    t_minor: float | None,
-    r: int,
-) -> np.ndarray:
-    """Attack mask under the strict two-threshold rule."""
-    pred = majc > t_major
-    if r > 0 and t_minor is not None:
-        pred = pred | (minc > t_minor)
-    return pred
+    _check_lengths(predictions, labels)
+    return _tally(_attack_mask(predictions), _attack_mask(labels), _category_masks(labels))[1]
 
 
 def evaluate(model: PcaModel, dataset: Dataset) -> MetricsReport:
     """Score a labeled dataset with the model and compute the full report."""
-    majc, minc, _ = score_records(model, dataset.records)
-    pred = apply_thresholds(majc, minc, model.t_major, model.t_minor, model.r)
-    cm = confusion(pred.tolist(), dataset.labels)
-    report = metrics(cm)
-    return MetricsReport(
-        cm=report.cm,
-        recall_anomaly=report.recall_anomaly,
-        fpr_anomaly=report.fpr_anomaly,
-        precision_anomaly=report.precision_anomaly,
-        recall_normal=report.recall_normal,
-        fpr_normal=report.fpr_normal,
-        precision_normal=report.precision_normal,
-        overall_success=report.overall_success,
-        error_rate=report.error_rate,
-        categories=per_category(pred.tolist(), dataset.labels),
-    )
+    return sweep(model, dataset, [(model.t_major, model.t_minor)]).points[0].report
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,37 +194,14 @@ def sweep(
     if not grid:
         raise EmptyGrid("threshold grid is empty")
     majc, minc, _ = score_records(model, dataset.records)
-    attack_actual = np.array([lab.is_attack for lab in dataset.labels])
-    category_masks = {
-        cat: np.array([lab.category is cat for lab in dataset.labels])
-        for cat in ATTACK_CATEGORIES
-    }
+    actual = _attack_mask(dataset.labels)
+    category_masks = _category_masks(dataset.labels)
 
     points: list[SweepPoint] = []
     for t_major, t_minor in grid:
-        pred = apply_thresholds(majc, minc, t_major, t_minor, model.r)
-        tp = int(np.sum(pred & attack_actual))
-        fp = int(np.sum(pred & ~attack_actual))
-        fn = int(np.sum(~pred & attack_actual))
-        tn = int(np.sum(~pred & ~attack_actual))
-        report = metrics(ConfusionMatrix(tp, fn, fp, tn))
-        categories = {
-            cat: CategoryCount(int(mask.sum()), int(np.sum(pred & mask)))
-            for cat, mask in category_masks.items()
-            if cat is not AttackCategory.UNKNOWN or mask.any()
-        }
-        report = MetricsReport(
-            cm=report.cm,
-            recall_anomaly=report.recall_anomaly,
-            fpr_anomaly=report.fpr_anomaly,
-            precision_anomaly=report.precision_anomaly,
-            recall_normal=report.recall_normal,
-            fpr_normal=report.fpr_normal,
-            precision_normal=report.precision_normal,
-            overall_success=report.overall_success,
-            error_rate=report.error_rate,
-            categories=categories,
-        )
+        over_major, over_minor = over_thresholds(majc, minc, t_major, t_minor, model.r)
+        cm, categories = _tally(over_major | over_minor, actual, category_masks)
+        report = replace(metrics(cm), categories=categories)
         points.append(SweepPoint(float(t_major), t_minor, report))
 
     best = max(points, key=lambda pt: pt.report.overall_success)

@@ -12,11 +12,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 N_RAW_FEATURES = 41
+
+# Error handler for decoding record text, on files and stdin alike.
+DECODE_ERRORS = "surrogateescape"
 
 # 1-based positions of the token-valued features in the 41-column layout.
 CATEGORICAL_POSITIONS = (2, 3, 4)
@@ -150,9 +153,15 @@ def parse_record(
     detection streams.
 
     Raises:
-        MalformedRow: wrong field count, or a numeric field that is not a
-            finite non-negative decimal.
+        MalformedRow: wrong field count, a numeric field that is not a
+            finite non-negative decimal, or bytes that are not UTF-8 (which
+            ``open_text`` decodes to lone surrogates).
     """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRow("line is not valid UTF-8", line_no)
     fields = [part.strip() for part in line.strip().split(",")]
     n = len(fields)
     label: str | None = None
@@ -192,6 +201,15 @@ def parse_record(
             )
 
     return ConnectionRecord(tuple(features), label, difficulty)
+
+
+def open_text(path: str):
+    """Open a record file for reading as UTF-8.
+
+    Undecodable bytes become lone surrogates instead of aborting the read,
+    so ``parse_record`` rejects just the line that holds them.
+    """
+    return open(path, "r", encoding="utf-8", errors=DECODE_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -285,7 +303,7 @@ def load_dataset(
     malformed = 0
     detail: list[tuple[int, str]] = []
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -381,17 +399,15 @@ def extract_features(
 
 
 def encode_matrix(
-    records: Iterable[ConnectionRecord],
+    records: Sequence[ConnectionRecord],
     profile: FeatureProfile,
     encoder: CategoricalEncoder,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many records; returns (n x p matrix, unknown-token flags)."""
-    vectors = []
-    flags = []
-    for record in records:
+    matrix = np.empty((len(records), profile.p), dtype=float)
+    unknown = np.empty(len(records), dtype=bool)
+    for k, record in enumerate(records):
         fv = extract_features(record, profile, encoder)
-        vectors.append(fv.values)
-        flags.append(fv.unknown_token)
-    if not vectors:
-        return np.empty((0, profile.p)), np.empty(0, dtype=bool)
-    return np.vstack(vectors), np.asarray(flags, dtype=bool)
+        matrix[k] = fv.values
+        unknown[k] = fv.unknown_token
+    return matrix, unknown

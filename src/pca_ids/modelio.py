@@ -3,8 +3,8 @@
 Models persist as human-readable JSON with explicit sections (profile,
 encoder, standardizer, eigen, selection, thresholds, provenance). Floats
 go through Python's shortest round-trip repr, so load(save(model)) is
-bit-exact. Loading re-verifies the eigenstructure, which catches both
-hand-edited files and serialization bugs.
+bit-exact. Loading re-verifies the eigenstructure and rejects non-finite
+values, which catches both hand-edited files and serialization bugs.
 
 Set SOURCE_DATE_EPOCH to pin the provenance timestamp when byte-identical
 model files matter.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -130,28 +131,73 @@ def model_from_document(doc: dict) -> PcaModel:
     return model
 
 
+@dataclass(frozen=True)
+class Residual:
+    """One integrity residual and whether it is within its tolerance."""
+
+    value: float
+    ok: bool
+
+
+def eigen_residuals(model: PcaModel) -> tuple[Residual, Residual]:
+    """(eigenvalue-sum, orthonormality) residuals against their tolerances.
+
+    |sum(lambda) - p| must stay within EIGEN_SUM_TOL * p, and max |V'V - I|
+    within ORTHONORMALITY_TOL; a NaN residual fails.
+    """
+    p = model.profile.p
+    vectors = model.eigen.vectors
+    sum_residual = abs(float(np.sum(model.eigen.values)) - p)
+    gram_residual = float(np.max(np.abs(vectors.T @ vectors - np.eye(p))))
+    return (
+        Residual(sum_residual, sum_residual <= EIGEN_SUM_TOL * p),
+        Residual(gram_residual, gram_residual <= ORTHONORMALITY_TOL),
+    )
+
+
 def verify_model(model: PcaModel) -> list[str]:
     """Integrity findings for a model; empty list means it checks out."""
     issues: list[str] = []
     p = model.profile.p
+    std = model.standardizer
     values = model.eigen.values
     vectors = model.eigen.vectors
 
-    if model.standardizer.mean.shape != (p,) or model.standardizer.std.shape != (p,):
+    if std.mean.shape != (p,) or std.std.shape != (p,) or std.degenerate.shape != (p,):
         issues.append("standardizer dimensions do not match the profile")
     if values.shape != (p,) or vectors.shape != (p, p):
         issues.append("eigen dimensions do not match the profile")
+    if issues:
         return issues
 
-    gram_residual = float(np.max(np.abs(vectors.T @ vectors - np.eye(p))))
-    if gram_residual > ORTHONORMALITY_TOL:
+    checked = {
+        "mean": std.mean,
+        "std": std.std,
+        "eigenvalues": values,
+        "eigenvectors": vectors,
+        "t_major": model.t_major,
+        "t_minor": model.t_minor,
+    }
+    for name, value in checked.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            issues.append(f"non-finite value in {name}")
+    if np.any((std.std <= 0) & ~std.degenerate):
+        issues.append("std is not positive on a feature not marked degenerate")
+    if set(model.encoder.tables) != set(model.profile.categorical_indices):
+        issues.append("encoder positions do not match the profile's categorical features")
+    for position, table in model.encoder.tables.items():
+        codes = sorted(code for code in table.values() if isinstance(code, int))
+        if codes != list(range(len(table))):
+            issues.append(f"encoder codes at position {position} are not dense 0..K-1")
+
+    eigen_sum, orthonormality = eigen_residuals(model)
+    if not orthonormality.ok:
         issues.append(
-            f"eigenvectors are not orthonormal (residual {gram_residual:.3e})"
+            f"eigenvectors are not orthonormal (residual {orthonormality.value:.3e})"
         )
-    sum_residual = abs(float(np.sum(values)) - p)
-    if sum_residual > EIGEN_SUM_TOL * p:
+    if not eigen_sum.ok:
         issues.append(
-            f"eigenvalue sum deviates from dimension (residual {sum_residual:.3e})"
+            f"eigenvalue sum deviates from dimension (residual {eigen_sum.value:.3e})"
         )
     if np.any(np.diff(values) > 0):
         issues.append("eigenvalues are not sorted descending")
@@ -170,7 +216,7 @@ def save_model(model: PcaModel, path: str) -> None:
     """Write the model document to ``path`` as indented JSON."""
     doc = model_to_document(model)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
+        json.dump(doc, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 

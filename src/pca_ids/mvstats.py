@@ -227,9 +227,11 @@ def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:
     """Principal-component scores of standardized observations.
 
     Returns e_i . z per component, in descending-eigenvalue order. Accepts
-    a single p-vector or an n x p matrix.
+    a single p-vector or an n x p matrix. The product avoids BLAS, whose
+    rounding depends on the matrix shape, so each row of a matrix projects
+    bit-identically to the same row on its own.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != pairs.p:
         raise DimensionMismatch(f"expected {pairs.p} features, got {z.shape[-1]}")
-    return z @ pairs.vectors
+    return np.einsum("...j,jk->...k", z, pairs.vectors)

@@ -189,12 +189,8 @@ def fit(
 
     Z = standardize(X, standardizer)
     Y = project(Z, eigen)
-    majc = np.array([detector.major_score(y, eigen.values, q) for y in Y])
-    minc = (
-        np.array([detector.minor_score(y, eigen.values, r) for y in Y])
-        if r > 0
-        else None
-    )
+    majc = detector.major_score(Y, eigen.values, q)
+    minc = detector.minor_score(Y, eigen.values, r) if r > 0 else None
     t_major, t_minor = calibrate_thresholds(
         majc, minc, config.alpha_major, config.alpha_minor
     )

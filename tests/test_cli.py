@@ -203,6 +203,34 @@ class TestClassify:
         assert "errors=1" in err
 
 
+    @pytest.fixture()
+    def undecodable(self, corpus_lines):
+        """Six lines, the fourth with a 0xFF byte inside its service token."""
+        lines = [line.encode() for line in corpus_lines[:6]]
+        fields = lines[3].split(b",")
+        fields[2] = b"\xff" + fields[2]
+        lines[3] = b",".join(fields)
+        return b"\n".join(lines) + b"\n"
+
+    def check_one_error(self, code, out, err):
+        assert code == 0
+        lines = out.splitlines()
+        assert sum(line.startswith("verdict=") for line in lines) == 5
+        assert lines[3].startswith('error="line 4: line is not valid UTF-8"')
+        assert "errors=1" in err
+
+    def test_undecodable_input_file_is_one_line_error(self, trained, undecodable, tmp_path, capsys):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(undecodable)
+        self.check_one_error(*run_cli(["classify", "--model", trained, "--input", str(path)], capsys))
+
+    def test_undecodable_stdin_is_one_line_error(self, trained, undecodable, capsys, monkeypatch):
+        # a strict ASCII stdin stands in for an interpreter outside UTF-8 mode
+        stdin = io.TextIOWrapper(io.BytesIO(undecodable), encoding="ascii", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        self.check_one_error(*run_cli(["classify", "--model", trained], capsys))
+
+
 class TestSweep:
     def test_single_point_matches_evaluate(self, trained, corpus_file, capsys):
         model = load_model(trained)

@@ -1,9 +1,12 @@
 """Scoring, the two-threshold decision rule, and stream classification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pca_ids.detector import (
     Trigger,
@@ -13,10 +16,18 @@ from pca_ids.detector import (
     minor_score,
     score_records,
 )
-from pca_ids.kdd import BASIC6, encode_matrix, parse_record
+from pca_ids.kdd import BASIC6, PROFILES, encode_matrix, parse_record
 from pca_ids.mvstats import mahalanobis_sq, project, standardize
+from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
 from .test_kdd import line_for
+
+
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def preset_model(request, corpus_dataset):
+    preset = PRESETS[request.param]
+    config = TrainerConfig(q_override=preset["q"], r_override=preset["r"])
+    return fit(corpus_dataset, PROFILES[preset["profile"]], config)
 
 
 @pytest.fixture()
@@ -166,13 +177,70 @@ class TestScoreRecords:
             assert majc[i] == verdict.major_score
             assert minc[i] == verdict.minor_score
 
-    def test_threaded_scoring_identical(self, basic6_model, corpus_dataset, monkeypatch):
-        majc1, minc1, unk1 = score_records(basic6_model, corpus_dataset.records)
-        monkeypatch.setenv("PCA_IDS_THREADS", "4")
-        majc4, minc4, unk4 = score_records(basic6_model, corpus_dataset.records)
-        assert np.array_equal(majc1, majc4)
-        assert np.array_equal(minc1, minc4)
-        assert np.array_equal(unk1, unk4)
+    def test_classify_equals_score_records_bitwise(self, preset_model, corpus_dataset):
+        model = preset_model
+        majc, minc, unknown = score_records(model, corpus_dataset.records)
+        for i, record in enumerate(corpus_dataset.records):
+            verdict = classify(model, record)
+            assert verdict.major_score == majc[i]
+            assert verdict.minor_score == minc[i]
+            assert verdict.unknown_token == unknown[i]
+
+    def test_fit_thresholds_are_nearest_rank_quantiles(self, preset_model, corpus_dataset):
+        model = preset_model
+        majc, minc, _ = score_records(model, corpus_dataset.normal_records())
+        config = model.metadata["config"]
+
+        def nearest_rank(scores, alpha):
+            return np.sort(scores)[math.ceil((1.0 - alpha) * len(scores)) - 1]
+
+        assert model.t_major == nearest_rank(majc, config["alpha_major"])
+        if model.r > 0:
+            assert model.t_minor == nearest_rank(minc, config["alpha_minor"])
+        else:
+            assert model.t_minor is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_scores_equal_single_scores(self, preset_model, data):
+        model = preset_model
+        X = data.draw(
+            hnp.arrays(
+                float,
+                hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12).map(
+                    lambda shape: (shape[0], model.p)
+                ),
+                elements=st.floats(-1e6, 1e6),
+            )
+        )
+        values = model.eigen.values
+        y = project(standardize(X, model.standardizer), model.eigen)
+        batch = [major_score(y, values, model.q), minor_score(y, values, model.r)]
+        full = major_score(y, values, model.p)  # sums past 8 terms on traffic10
+        for i, row in enumerate(X):
+            y1 = project(standardize(row, model.standardizer), model.eigen)
+            assert major_score(y1, values, model.q) == batch[0][i]
+            assert minor_score(y1, values, model.r) == batch[1][i]
+            assert major_score(y1, values, model.p) == full[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        t_major=st.floats(0.0, 50.0),
+        t_minor=st.floats(0.0, 50.0),
+        raise_major=st.floats(0.0, 50.0),
+        raise_minor=st.floats(0.0, 50.0),
+    )
+    def test_raising_thresholds_never_creates_attacks(
+        self, traffic10_model, corpus_dataset, data, t_major, t_minor, raise_major, raise_minor
+    ):
+        record = data.draw(st.sampled_from(corpus_dataset.records))
+        low = dataclasses.replace(traffic10_model, t_major=t_major, t_minor=t_minor)
+        high = dataclasses.replace(
+            traffic10_model, t_major=t_major + raise_major, t_minor=t_minor + raise_minor
+        )
+        if not classify(low, record).is_attack:
+            assert not classify(high, record).is_attack
 
 
 class TestClassifyStream:

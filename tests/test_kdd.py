@@ -1,6 +1,7 @@
 """Parsing, labeling, encoding, and dataset loading."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pca_ids.kdd import (
     BASIC6,
@@ -97,6 +98,33 @@ class TestParseRecord:
             assert ",".join(rec.raw_features) == ",".join(line.split(",")[:41])
             assert rec.to_line() == line
 
+    def test_undecodable_byte_in_token_rejected(self):
+        # how open_text decodes a 0xFF byte inside the service token
+        line = line_for(label="normal", p3="ht\udcfftp")
+        with pytest.raises(MalformedRow, match="UTF-8"):
+            parse_record(line, allow_unlabeled=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        line=st.one_of(
+            st.text(st.characters(blacklist_categories=())),
+            st.lists(
+                st.one_of(
+                    st.sampled_from(["0", "1.5", "-1", "nan", "inf", "1e400", "tcp", ""]),
+                    st.text(st.characters(blacklist_categories=()), max_size=4),
+                ),
+                min_size=40,
+                max_size=44,
+            ).map(",".join),
+        ),
+        allow_unlabeled=st.booleans(),
+    )
+    def test_arbitrary_text_raises_only_malformed_row(self, line, allow_unlabeled):
+        try:
+            parse_record(line, allow_unlabeled=allow_unlabeled)
+        except MalformedRow:
+            pass
+
 
 class TestCategorize:
     @pytest.mark.parametrize(
@@ -154,6 +182,17 @@ class TestLoadDataset:
         assert len(ds) == 1
         assert ds.malformed_count == 1
         assert ds.malformed_lines[0][0] == 2
+
+    def test_undecodable_line_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "bytes.txt"
+        good = line_for(label="normal").encode()
+        bad = line_for(label="normal", p3="http").replace("http", "ht\xfftp", 1)
+        path.write_bytes(good + b"\n" + bad.encode("latin-1") + b"\n" + good + b"\n")
+        ds = load_dataset(str(path))
+        assert len(ds) == 2
+        assert ds.malformed_count == 1
+        assert ds.malformed_lines[0][0] == 2
+        assert "UTF-8" in ds.malformed_lines[0][1]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

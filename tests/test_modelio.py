@@ -1,5 +1,6 @@
 """On-disk model format: round-trip fidelity, versioning, integrity."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -94,3 +95,40 @@ class TestValidation:
 
     def test_clean_model_has_no_findings(self, basic6_model):
         assert verify_model(basic6_model) == []
+
+    @pytest.mark.parametrize(
+        "path, value, finding",
+        [
+            pytest.param(("thresholds", "t_major"), float("nan"), "t_major", id="t_major-nan"),
+            pytest.param(("thresholds", "t_minor"), float("inf"), "t_minor", id="t_minor-inf"),
+            pytest.param(("standardizer", "std", 0), 0.0, "std is not positive", id="std-zero"),
+            pytest.param(("standardizer", "mean", 1), float("nan"), "mean", id="mean-nan"),
+            pytest.param(("eigen", "values", 0), float("inf"), "eigenvalues", id="eigenvalue-inf"),
+            pytest.param(("eigen", "vectors", 0, 0), float("nan"), "eigenvectors", id="eigenvector-nan"),
+            pytest.param(("standardizer", "degenerate"), [False] * 9, "dimensions", id="mask-short"),
+            pytest.param(("encoder", "3", "http"), 99, "not dense", id="encoder-gap"),
+            pytest.param(
+                ("encoder",),
+                {"2": {"tcp": 0}, "4": {"SF": 0}},
+                "encoder positions",
+                id="encoder-missing-position",
+            ),
+        ],
+    )
+    def test_tampered_values_rejected_at_load(self, traffic10_model, tmp_path, path, value, finding):
+        file = tmp_path / "step2.json"
+        save_model(traffic10_model, str(file))
+        doc = json.loads(file.read_text())
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ModelIntegrityError, match=finding):
+            load_model(str(file))
+
+    def test_non_finite_value_not_written(self, basic6_model, tmp_path):
+        broken = dataclasses.replace(basic6_model, t_major=float("nan"))
+        with pytest.raises(ValueError):
+            save_model(broken, str(tmp_path / "nan.json"))
