@@ -163,6 +163,11 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _quoted(text: str) -> str:
+    """``text`` in double quotes, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.input:
@@ -171,12 +176,15 @@ def cmd_classify(args) -> int:
         source = sys.stdin
         if isinstance(source, io.TextIOWrapper):
             source.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
+        # A live feed must see each verdict as it is made, not at EOF.
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(line_buffering=True)
     attacks = normals = errors = 0
     try:
         for item in classify_stream(model, source):
             if item.error is not None:
                 errors += 1
-                print(f'error="{item.error}" line={item.line_no}')
+                print(f"error={_quoted(item.error)} line={item.line_no}")
                 continue
             verdict = item.verdict
             if verdict.is_attack:
@@ -222,10 +230,11 @@ def cmd_sweep(args) -> int:
         )
     best = result.best
     best_tmm = "n/a" if best.t_minor is None else f"{best.t_minor:.6g}"
+    recall = best.report.recall_anomaly
+    best_recall = "n/a" if recall is None else f"{recall:.4f}"
     print(
         f"best: t_major={best.t_major:.6g} t_minor={best_tmm} "
-        f"success={best.report.overall_success:.4f} "
-        f"recall={best.report.recall_anomaly:.4f}"
+        f"success={best.report.overall_success:.4f} recall={best_recall}"
     )
     return 0
 

@@ -21,7 +21,7 @@ from .kdd import (
     extract_features,
     parse_record,
 )
-from .mvstats import EIGENVALUE_FLOOR, standardize, project
+from .mvstats import floor_eigenvalues, project, standardize
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
@@ -65,10 +65,20 @@ class StreamVerdict:
     error: str | None = None
 
 
-def _weighted_sum(y: np.ndarray, eigenvalues: np.ndarray):
-    lam = np.maximum(eigenvalues, EIGENVALUE_FLOOR)
-    total = (y * y / lam).sum(axis=-1)
-    return float(total) if total.ndim == 0 else total
+def _score_sums(y: np.ndarray, floored: np.ndarray, q: int, r: int):
+    """Sums of y_i^2 / lambda_i over the first q and over the last r components.
+
+    ``floored`` holds the eigenvalues already clipped by
+    ``floor_eigenvalues``. A p-vector gives floats, an n x p matrix one
+    sum per row. Every score in the package goes through this function.
+    """
+    terms = y * y / floored
+    p = terms.shape[-1]
+    major = terms[..., :q].sum(axis=-1)
+    minor = terms[..., p - r :].sum(axis=-1)
+    if major.ndim == 0:
+        return float(major), float(minor)
+    return major, minor
 
 
 def major_score(y: np.ndarray, eigenvalues: np.ndarray, q: int):
@@ -80,7 +90,7 @@ def major_score(y: np.ndarray, eigenvalues: np.ndarray, q: int):
     p = y.shape[-1]
     if not 1 <= q <= p:
         raise ValueError(f"q must be in 1..{p}, got {q}")
-    return _weighted_sum(y[..., :q], np.asarray(eigenvalues, dtype=float)[:q])
+    return _score_sums(y, floor_eigenvalues(eigenvalues), q, 0)[0]
 
 
 def minor_score(y: np.ndarray, eigenvalues: np.ndarray, r: int):
@@ -92,16 +102,13 @@ def minor_score(y: np.ndarray, eigenvalues: np.ndarray, r: int):
     p = y.shape[-1]
     if not 0 <= r <= p:
         raise ValueError(f"r must be in 0..{p}, got {r}")
-    return _weighted_sum(y[..., p - r :], np.asarray(eigenvalues, dtype=float)[p - r :])
+    return _score_sums(y, floor_eigenvalues(eigenvalues), 0, r)[1]
 
 
 def _scores(model: "PcaModel", x: np.ndarray):
     """(major, minor) scores of one encoded p-vector or of an n x p matrix."""
     y = project(standardize(x, model.standardizer), model.eigen)
-    return (
-        major_score(y, model.eigen.values, model.q),
-        minor_score(y, model.eigen.values, model.r),
-    )
+    return _score_sums(y, model.eigen.floored_values, model.q, model.r)
 
 
 def over_thresholds(majc, minc, t_major: float, t_minor: float | None, r: int):

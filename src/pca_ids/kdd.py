@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +24,12 @@ DECODE_ERRORS = "surrogateescape"
 
 # 1-based positions of the token-valued features in the 41-column layout.
 CATEGORICAL_POSITIONS = (2, 3, 4)
+
+# The token fields and the 38 numeric fields of a 41-field list.
+_token_fields = itemgetter(*(p - 1 for p in CATEGORICAL_POSITIONS))
+_numeric_fields = itemgetter(
+    *(p - 1 for p in range(1, N_RAW_FEATURES + 1) if p not in CATEGORICAL_POSITIONS)
+)
 
 FEATURE_NAMES = {
     1: "duration",
@@ -162,7 +169,7 @@ def parse_record(
             line.encode("utf-8")
         except UnicodeEncodeError:
             raise MalformedRow("line is not valid UTF-8", line_no)
-    fields = [part.strip() for part in line.strip().split(",")]
+    fields = list(map(str.strip, line.strip().split(",")))
     n = len(fields)
     label: str | None = None
     difficulty: int | None = None
@@ -182,6 +189,22 @@ def parse_record(
         raise MalformedRow(f"expected 42 or 43 fields, got {n}", line_no)
 
     features = fields[:N_RAW_FEATURES]
+    # One pass over all numeric fields: every number >= 0 and a finite sum
+    # means every number is finite. A line that fails this (or overflows
+    # the sum with finite values) goes to the per-field check, which alone
+    # decides and words the rejection.
+    try:
+        numbers = list(map(float, _numeric_fields(features)))
+        valid = all(_token_fields(features)) and min(numbers) >= 0.0 and isfinite(sum(numbers))
+    except ValueError:
+        valid = False
+    if not valid:
+        _check_fields(features, line_no)
+    return ConnectionRecord(tuple(features), label, difficulty)
+
+
+def _check_fields(features: list[str], line_no: int) -> None:
+    """Raise MalformedRow for the first bad field of a 41-field list, if any."""
     for position, value in enumerate(features, start=1):
         if position in CATEGORICAL_POSITIONS:
             if not value:
@@ -199,8 +222,6 @@ def parse_record(
                 f"got {value!r}",
                 line_no,
             )
-
-    return ConnectionRecord(tuple(features), label, difficulty)
 
 
 def open_text(path: str):
@@ -300,6 +321,8 @@ def load_dataset(
     """
     records: list[ConnectionRecord] = []
     labels: list[Label] = []
+    # Label is frozen, so records with the same label string share one.
+    label_of: dict[str, Label] = {}
     malformed = 0
     detail: list[tuple[int, str]] = []
 
@@ -315,7 +338,11 @@ def load_dataset(
                     detail.append((line_no, str(err)))
                 continue
             records.append(record)
-            labels.append(categorize_attack(record.label or ""))
+            name = record.label or ""
+            label = label_of.get(name)
+            if label is None:
+                label = label_of[name] = categorize_attack(name)
+            labels.append(label)
 
     if not records:
         raise EmptyDatasetError(f"no valid records in {path}")
@@ -379,23 +406,34 @@ class FeatureVector:
     unknown_token: bool = False
 
 
+def _encode_row(
+    record: ConnectionRecord,
+    profile: FeatureProfile,
+    encoder: CategoricalEncoder,
+) -> tuple[list[float], bool]:
+    """A record's profile columns as floats, and whether a token was unseen."""
+    raw = record.raw_features
+    categorical = profile.categorical_indices
+    values = []
+    unknown = False
+    for position in profile.indices:
+        if position in categorical:
+            code, known = encoder.encode(position, raw[position - 1])
+            values.append(float(code))
+            unknown = unknown or not known
+        else:
+            values.append(float(raw[position - 1]))
+    return values, unknown
+
+
 def extract_features(
     record: ConnectionRecord,
     profile: FeatureProfile,
     encoder: CategoricalEncoder,
 ) -> FeatureVector:
     """Encode a record into a dense vector in profile index order."""
-    values = np.empty(profile.p, dtype=float)
-    unknown = False
-    for out_idx, position in enumerate(profile.indices):
-        raw = record.feature(position)
-        if position in profile.categorical_indices:
-            code, known = encoder.encode(position, raw)
-            values[out_idx] = float(code)
-            unknown = unknown or not known
-        else:
-            values[out_idx] = float(raw)
-    return FeatureVector(values, unknown)
+    values, unknown = _encode_row(record, profile, encoder)
+    return FeatureVector(np.array(values), unknown)
 
 
 def encode_matrix(
@@ -404,10 +442,10 @@ def encode_matrix(
     encoder: CategoricalEncoder,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many records; returns (n x p matrix, unknown-token flags)."""
+    # Filled in place: a list of rows handed to np.array would hold every
+    # row twice at the peak.
     matrix = np.empty((len(records), profile.p), dtype=float)
     unknown = np.empty(len(records), dtype=bool)
     for k, record in enumerate(records):
-        fv = extract_features(record, profile, encoder)
-        matrix[k] = fv.values
-        unknown[k] = fv.unknown_token
+        matrix[k], unknown[k] = _encode_row(record, profile, encoder)
     return matrix, unknown

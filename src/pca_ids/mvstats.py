@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,15 @@ class StandardizationParams:
     def p(self) -> int:
         return self.mean.shape[0]
 
+    @cached_property
+    def safe_std(self) -> np.ndarray:
+        """The std with degenerate features set to 1, safe to divide by."""
+        return np.where(self.degenerate, 1.0, self.std)
+
+    @cached_property
+    def any_degenerate(self) -> bool:
+        return bool(self.degenerate.any())
+
 
 def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     """Column means and sample (n-1) standard deviations of an n x p matrix."""
@@ -71,8 +81,8 @@ def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {params.p} features, got {x.shape[-1]}"
         )
-    safe_std = np.where(params.degenerate, 1.0, params.std)
-    return np.where(params.degenerate, 0.0, (x - params.mean) / safe_std)
+    z = (x - params.mean) / params.safe_std
+    return np.where(params.degenerate, 0.0, z) if params.any_degenerate else z
 
 
 def correlation_matrix(
@@ -97,7 +107,7 @@ def correlation_matrix(
     r = (z.T @ z) / (n - 1)
     r = 0.5 * (r + r.T)
     np.clip(r, -1.0, 1.0, out=r)
-    if params.degenerate.any():
+    if params.any_degenerate:
         r[params.degenerate, :] = 0.0
         r[:, params.degenerate] = 0.0
     np.fill_diagonal(r, 1.0)
@@ -114,6 +124,16 @@ class EigenPairs:
     @property
     def p(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def floored_values(self) -> np.ndarray:
+        """The eigenvalues raised to EIGENVALUE_FLOOR, the score divisors."""
+        return floor_eigenvalues(self.values)
+
+
+def floor_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues clipped from below at EIGENVALUE_FLOOR."""
+    return np.maximum(np.asarray(values, dtype=float), EIGENVALUE_FLOOR)
 
 
 def _offdiag_norm(a: np.ndarray) -> float:

@@ -13,8 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pca_ids import BASIC6, TRAFFIC10, TrainerConfig, fit, load_dataset
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI run
+# cannot fail on an example no earlier run has seen.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 DATA_ENV = "NSL_KDD_TRAIN20"
 _DATA_CANDIDATES = (

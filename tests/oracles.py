@@ -72,3 +72,24 @@ def cubic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def loop_euclidean_sq(x, y) -> float:
     return float(sum((a - b) ** 2 for a, b in zip(x, y)))
+
+
+def fields_acceptable(fields) -> bool:
+    """The record format's per-field rule, checked one field at a time.
+
+    Fields 2-4 are tokens and must not be empty; every other field must read
+    as a finite decimal >= 0. Surrounding whitespace does not count.
+    """
+    for position, value in enumerate(fields, start=1):
+        value = value.strip()
+        if position in (2, 3, 4):
+            if value == "":
+                return False
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            return False
+        if math.isnan(number) or math.isinf(number) or number < 0:
+            return False
+    return True

@@ -2,11 +2,22 @@
 
 import io
 import json
+import os
+import re
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import pca_ids
 from pca_ids.cli import main
+from pca_ids.kdd import MalformedRow, parse_record
 from pca_ids.modelio import load_model
+
+from .test_kdd import line_for
 
 
 def run_cli(argv, capsys):
@@ -202,6 +213,57 @@ class TestClassify:
         assert lines[1].startswith("error=")
         assert "errors=1" in err
 
+    def test_error_message_escaped(self, trained, tmp_path, capsys):
+        line = line_for(label="normal", p5='4\\"96')
+        with pytest.raises(MalformedRow) as caught:
+            parse_record(line, 1, allow_unlabeled=True)
+        path = tmp_path / "quote.txt"
+        path.write_text(line + "\n")
+        code, out, _ = run_cli(["classify", "--model", trained, "--input", str(path)], capsys)
+        assert code == 0
+        text = out.splitlines()[0]
+        match = re.fullmatch(r'error="((?:[^"\\]|\\.)*)" line=(\d+)', text)
+        assert match, text
+        assert re.sub(r"\\(.)", r"\1", match.group(1)) == str(caught.value)
+        assert match.group(2) == "1"
+        assert re.fullmatch(r'error="(.*)" line=(\d+)', text)
+
+    def test_stdin_verdicts_flushed_while_input_stays_open(self, trained, corpus_lines):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(pca_ids.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pca_ids.cli", "classify", "--model", trained],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        fd = proc.stdout.fileno()
+
+        def next_line(timeout: float) -> bytes:
+            deadline = time.monotonic() + timeout
+            received = b""
+            while not received.endswith(b"\n"):
+                ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+                assert ready, f"no output line within {timeout} s"
+                chunk = os.read(fd, 1)
+                assert chunk, "classify exited early"
+                received += chunk
+            return received
+
+        try:
+            for line in [*corpus_lines[:3], "garbage,line"]:
+                proc.stdin.write(line.encode() + b"\n")
+                proc.stdin.flush()
+                assert next_line(30.0).startswith((b"verdict=", b"error="))
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     @pytest.fixture()
     def undecodable(self, corpus_lines):
@@ -256,6 +318,17 @@ class TestSweep:
         assert code == 0
         # header + a single collapsed point + best line
         assert len(out.strip().splitlines()) == 3
+
+    def test_no_attacks_in_data(self, trained, corpus_lines, tmp_path, capsys):
+        normals = [line for line in corpus_lines if ",normal" in line][:200]
+        path = tmp_path / "normal.txt"
+        path.write_text("\n".join(normals) + "\n")
+        code, out, err = run_cli(
+            ["sweep", "--model", trained, "--data", str(path), "--tm-grid", "1:5:2"],
+            capsys,
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1].endswith(" recall=n/a")
 
     def test_malformed_grid_is_usage_error(self, trained, corpus_file, capsys):
         code, _, _ = run_cli(

@@ -1,7 +1,7 @@
 """Parsing, labeling, encoding, and dataset loading."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pca_ids.kdd import (
     BASIC6,
@@ -18,6 +18,8 @@ from pca_ids.kdd import (
     load_dataset,
     parse_record,
 )
+
+from . import oracles
 
 
 def fields_for(**positions) -> list[str]:
@@ -103,6 +105,28 @@ class TestParseRecord:
         line = line_for(label="normal", p3="ht\udcfftp")
         with pytest.raises(MalformedRow, match="UTF-8"):
             parse_record(line, allow_unlabeled=True)
+
+    @settings(max_examples=300, deadline=None)
+    @example(overrides={5: "1e308", 6: "1e308"})  # finite fields, overflowing sum
+    @example(overrides={6: "-0"})
+    @given(
+        overrides=st.dictionaries(
+            st.integers(1, 41),
+            st.sampled_from(
+                ["0", "1.5", "1_0", " 7 ", "-0", "+3", "1e308", "1e309",
+                 "nan", "-inf", "0x10", "", "tcp"]
+            ),
+            max_size=5,
+        )
+    )
+    def test_accepts_exactly_the_valid_lines(self, overrides):
+        fields = fields_for(**{f"p{k}": v for k, v in overrides.items()})
+        try:
+            parse_record(",".join(fields) + ",normal")
+            accepted = True
+        except MalformedRow:
+            accepted = False
+        assert accepted == oracles.fields_acceptable(fields)
 
     @settings(max_examples=300, deadline=None)
     @given(

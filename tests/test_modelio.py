@@ -2,11 +2,23 @@
 
 import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pca_ids.detector import classify
+from pca_ids.detector import classify, score_records
+from pca_ids.kdd import (
+    BASIC6,
+    CATEGORICAL_POSITIONS,
+    TRAFFIC10,
+    Dataset,
+    FeatureProfile,
+    categorize_attack,
+    parse_record,
+)
 from pca_ids.modelio import (
     FORMAT_VERSION,
     ModelFormatError,
@@ -15,6 +27,12 @@ from pca_ids.modelio import (
     save_model,
     verify_model,
 )
+from pca_ids.trainer import TrainerConfig, fit
+
+from .conftest import make_corpus
+
+# Field 7 is 0 on every synthetic row, so this profile has a degenerate feature.
+WITH_CONSTANT = FeatureProfile("with_constant", (1, 2, 3, 4, 5, 6, 7), CATEGORICAL_POSITIONS)
 
 
 @pytest.fixture()
@@ -52,6 +70,30 @@ class TestRoundTrip:
         save_model(basic6_model, str(first))
         save_model(load_model(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_normal=st.integers(20, 120),
+        profile=st.sampled_from([BASIC6, TRAFFIC10, WITH_CONSTANT]),
+        data=st.data(),
+    )
+    def test_save_load_score_bit_identical(self, seed, n_normal, profile, data):
+        q = data.draw(st.integers(1, profile.p), label="q")
+        r = data.draw(st.integers(0, profile.p - q), label="r")
+        lines = make_corpus({"normal": n_normal, "neptune": 4, "satan": 3}, seed=seed)
+        records = [parse_record(line) for line in lines]
+        labels = [categorize_attack(record.label) for record in records]
+        model = fit(Dataset(records, labels, "random"), profile, TrainerConfig(q_override=q, r_override=r))
+        before = score_records(model, records)
+        verdicts = [classify(model, record) for record in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(model, path)
+            loaded = load_model(path)
+        for a, b in zip(before, score_records(loaded, records)):
+            assert a.tobytes() == b.tobytes()
+        assert [classify(loaded, record) for record in records] == verdicts
 
     def test_provenance_recorded(self, model_path, corpus_dataset):
         doc = json.loads(model_path.read_text())
