@@ -17,7 +17,6 @@ from .kdd import (
     FeatureVector,
     Label,
     MalformedRow,
-    UnknownTokenError,
     build_encoder,
     categorize_attack,
     extract_features,

@@ -131,7 +131,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         parser.error("one of --profile or --preset is required")
 
     config = _trainer_config(args)
-    dataset = load_dataset(args.data, profile)
+    dataset = load_dataset(args.data)
     model = fit(dataset, profile, config)
     save_model(model, args.out)
 
@@ -150,7 +150,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    dataset = load_dataset(args.data, model.profile)
+    dataset = load_dataset(args.data)
     report = evaluate(model, dataset)
     if args.format == "machine":
         text = json.dumps(machine_report(report), indent=2)
@@ -203,9 +203,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     model = load_model(args.model)
-    dataset = load_dataset(args.data, model.profile)
+    if args.tmm_grid and model.r == 0:
+        parser.error("--tmm-grid needs a model with minor components; this one has r=0")
+    dataset = load_dataset(args.data)
     if args.tmm_grid:
         minor_values = args.tmm_grid
     elif model.r > 0:
@@ -289,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "sweep":
-            return cmd_sweep(args)
+            return cmd_sweep(args, parser)
         if args.command == "inspect":
             return cmd_inspect(args)
         parser.error(f"unknown command {args.command!r}")

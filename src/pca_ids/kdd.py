@@ -22,6 +22,9 @@ N_RAW_FEATURES = 41
 # Error handler for decoding record text, on files and stdin alike.
 DECODE_ERRORS = "surrogateescape"
 
+# How many malformed rows load_dataset keeps the line number and message of.
+MAX_ERROR_DETAIL = 10
+
 # 1-based positions of the token-valued features in the 41-column layout.
 CATEGORICAL_POSITIONS = (2, 3, 4)
 
@@ -55,10 +58,6 @@ class MalformedRow(ValueError):
 
 class EmptyDatasetError(ValueError):
     """A file (or filtered subset) produced zero usable records."""
-
-
-class UnknownTokenError(KeyError):
-    """A categorical token was never seen at training time (strict policy only)."""
 
 
 class AttackCategory(Enum):
@@ -273,7 +272,6 @@ class Dataset:
     source: str
     malformed_count: int = 0
     malformed_lines: list[tuple[int, str]] = field(default_factory=list)
-    profile: FeatureProfile | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -304,16 +302,12 @@ class Dataset:
         return "\n".join(lines)
 
 
-def load_dataset(
-    path: str,
-    profile: FeatureProfile | None = None,
-    max_error_detail: int = 10,
-) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Load a labeled NSL-KDD text file.
 
-    Malformed rows are skipped and counted (with the first few line
-    numbers retained); only I/O failures or a fully unusable file abort
-    the load.
+    Malformed rows are skipped and counted (with the first
+    MAX_ERROR_DETAIL line numbers and messages retained); only I/O failures
+    or a fully unusable file abort the load.
 
     Raises:
         OSError: the file cannot be read.
@@ -334,7 +328,7 @@ def load_dataset(
                 record = parse_record(line, line_no)
             except MalformedRow as err:
                 malformed += 1
-                if len(detail) < max_error_detail:
+                if len(detail) < MAX_ERROR_DETAIL:
                     detail.append((line_no, str(err)))
                 continue
             records.append(record)
@@ -346,7 +340,7 @@ def load_dataset(
 
     if not records:
         raise EmptyDatasetError(f"no valid records in {path}")
-    return Dataset(records, labels, str(path), malformed, detail, profile)
+    return Dataset(records, labels, str(path), malformed, detail)
 
 
 @dataclass(frozen=True)
@@ -355,12 +349,10 @@ class CategoricalEncoder:
 
     Codes are dense 0..K-1 integers assigned in sorted token order, so a
     rebuild over the same data always yields the same mapping. Unknown
-    tokens map to code K (one past the largest) under the default
-    "overflow" policy, or raise under "error".
+    tokens map to code K, one past the largest.
     """
 
     tables: dict[int, dict[str, int]]
-    unknown_policy: str = "overflow"
 
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.tables))
@@ -374,28 +366,23 @@ class CategoricalEncoder:
         code = table.get(token)
         if code is not None:
             return code, True
-        if self.unknown_policy == "error":
-            raise UnknownTokenError(f"unseen token {token!r} at position {position}")
         return len(table), False
 
 
 def build_encoder(
     dataset: Dataset | Sequence[ConnectionRecord],
     profile: FeatureProfile,
-    unknown_policy: str = "overflow",
 ) -> CategoricalEncoder:
     """Build deterministic token tables from observed training records."""
     records = dataset.records if isinstance(dataset, Dataset) else dataset
     if not records:
         raise EmptyDatasetError("cannot build an encoder from zero records")
-    if unknown_policy not in ("overflow", "error"):
-        raise ValueError(f"unknown_policy must be overflow or error, got {unknown_policy!r}")
 
     tables: dict[int, dict[str, int]] = {}
     for position in profile.categorical_indices:
         tokens = {rec.feature(position) for rec in records}
         tables[position] = {tok: code for code, tok in enumerate(sorted(tokens))}
-    return CategoricalEncoder(tables, unknown_policy)
+    return CategoricalEncoder(tables)
 
 
 @dataclass(frozen=True)

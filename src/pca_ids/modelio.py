@@ -213,11 +213,14 @@ def verify_model(model: PcaModel) -> list[str]:
 
 
 def save_model(model: PcaModel, path: str) -> None:
-    """Write the model document to ``path`` as indented JSON."""
-    doc = model_to_document(model)
+    """Write the model document to ``path`` as indented JSON.
+
+    The text is built before the file is opened, so a model that cannot be
+    serialized (a NaN or infinity) leaves any file at ``path`` untouched.
+    """
+    text = json.dumps(model_to_document(model), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def load_model(path: str, verify: bool = True) -> PcaModel:

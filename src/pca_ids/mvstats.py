@@ -1,14 +1,15 @@
 """Multivariate statistics and the symmetric eigensolver behind the detector.
 
 Standardization and correlation use the usual sample conventions (n-1
-divisor). The eigensolver is a cyclic Jacobi iteration: for the <= 10
-dimensional correlation matrices this package works with it is fast,
-dependency free, and bit-reproducible across platforms.
+divisor). The eigensolver is LAPACK's symmetric driver through
+``numpy.linalg.eigh``, with the eigenpairs put in a deterministic order
+and sign. Results are reproducible for a given numpy and BLAS/LAPACK
+build, not bit-identical across platforms: the correlation matrix itself
+comes from a BLAS product.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +34,7 @@ class TooFewRows(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The Jacobi sweep cap was reached before the residual target."""
+    """The eigensolver failed, or its input holds NaN or infinity."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,86 +137,39 @@ def floor_eigenvalues(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(values, dtype=float), EIGENVALUE_FLOOR)
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
+def eigen_sym(matrix: np.ndarray) -> EigenPairs:
+    """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-
-def eigen_sym(
-    matrix: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-) -> EigenPairs:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Iterates full sweeps until the off-diagonal Frobenius norm drops below
-    ``tol``. Output is deterministic: eigenvalues descend, and each
-    eigenvector is signed so its largest-magnitude component is positive.
+    Output is deterministic for a given input and numpy build: eigenvalues
+    descend (ties keep LAPACK's order), and each eigenvector is signed so
+    its largest-magnitude component is positive.
 
     Raises:
-        NoConvergence: the sweep cap was hit before reaching ``tol``.
+        DimensionMismatch: the matrix is not square.
+        ValueError: the matrix is not symmetric.
+        NoConvergence: the matrix holds NaN or infinity, or LAPACK failed.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    # The max is NaN or infinite exactly when an entry is; eigh would
+    # return NaN pairs for such input instead of failing.
+    peak = np.abs(a).max()
+    if not np.isfinite(peak):
+        raise NoConvergence("matrix holds NaN or infinite values")
+    if np.abs(a - a.T).max() > 1e-12 * max(1.0, peak):
         raise ValueError("matrix is not symmetric")
 
-    a = a.copy()
-    p = a.shape[0]
-    v = np.eye(p)
-
-    if p > 1:
-        converged = False
-        for _ in range(max_sweeps):
-            if _offdiag_norm(a) <= tol:
-                converged = True
-                break
-            for i in range(p - 1):
-                for j in range(i + 1, p):
-                    apq = a[i, j]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[j, j] - a[i, i]) / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-
-                    col_i = a[:, i].copy()
-                    col_j = a[:, j].copy()
-                    a[:, i] = c * col_i - s * col_j
-                    a[:, j] = s * col_i + c * col_j
-                    row_i = a[i, :].copy()
-                    row_j = a[j, :].copy()
-                    a[i, :] = c * row_i - s * row_j
-                    a[j, :] = s * row_i + c * row_j
-                    a[i, j] = 0.0
-                    a[j, i] = 0.0
-
-                    vec_i = v[:, i].copy()
-                    vec_j = v[:, j].copy()
-                    v[:, i] = c * vec_i - s * vec_j
-                    v[:, j] = s * vec_i + c * vec_j
-        else:
-            converged = _offdiag_norm(a) <= tol
-        if not converged:
-            raise NoConvergence(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} above {tol:.1e} "
-                f"after {max_sweeps} sweeps"
-            )
-
-    values = np.diag(a).copy()
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"eigendecomposition failed: {err}") from err
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for k in range(p):
-        peak = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[peak, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    return EigenPairs(values, vectors)
+    vectors = vectors[:, order]
+    peaks = np.abs(vectors).argmax(axis=0)
+    # a unit vector's largest-magnitude entry is never 0
+    vectors *= np.sign(vectors[peaks, np.arange(a.shape[0])])
+    return EigenPairs(values[order], vectors)
 
 
 def euclidean_sq(x: np.ndarray, y: np.ndarray) -> float:

@@ -160,6 +160,9 @@ def fit(
 
     Raises:
         EmptyDatasetError: no normal records to train on.
+        ValueError: a feature's mean or std over the training normals is
+            not finite (its values or their squares overflow a float), or
+            q exceeds p.
         NoConvergence: propagated from the eigensolver.
     """
     config = config or TrainerConfig()
@@ -170,6 +173,13 @@ def fit(
     encoder = build_encoder(normals, profile)
     X, _ = encode_matrix(normals, profile, encoder)
     standardizer = fit_standardizer(X)
+    finite = np.isfinite(standardizer.mean) & np.isfinite(standardizer.std)
+    if not finite.all():
+        names = [name for name, ok in zip(profile.feature_names(), finite) if not ok]
+        raise ValueError(
+            f"non-finite mean or std of {', '.join(names)} over the training "
+            "normals: values too large to standardize"
+        )
     R = correlation_matrix(X, standardizer)
     eigen = eigen_sym(R)
     p = profile.p

@@ -151,7 +151,7 @@ def corpus_file(corpus_lines, tmp_path_factory) -> str:
 
 @pytest.fixture(scope="session")
 def corpus_dataset(corpus_file):
-    return load_dataset(corpus_file, BASIC6)
+    return load_dataset(corpus_file)
 
 
 @pytest.fixture(scope="session")
@@ -177,4 +177,4 @@ def kdd_path() -> str:
 
 @pytest.fixture(scope="session")
 def kdd_dataset(kdd_path):
-    return load_dataset(kdd_path, BASIC6)
+    return load_dataset(kdd_path)

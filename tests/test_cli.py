@@ -118,6 +118,29 @@ class TestTrain:
         model = load_model(str(path))
         assert (model.q, model.r) == (3, 7)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("huge", ["1e200", "1e308"])
+    def test_overflowing_feature_is_runtime_error(self, corpus_lines, tmp_path, capsys, huge):
+        # 1e200 overflows the squares (std = inf); 1e308 overflows the sum too
+        lines = list(corpus_lines)
+        changed = 0
+        for k, line in enumerate(lines):
+            fields = line.split(",")
+            if fields[41] == "normal" and changed < 2:
+                fields[4] = huge  # src_bytes
+                lines[k] = ",".join(fields)
+                changed += 1
+        data = tmp_path / "huge.txt"
+        data.write_text("\n".join(lines) + "\n")
+        out_path = tmp_path / "m.json"
+        code, _, err = run_cli(
+            ["train", "--data", str(data), "--preset", "step1", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert re.search(r"^error: .*src_bytes", err, re.MULTILINE), err
+        assert not out_path.exists()
+
     def test_unreadable_data_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["train", "--data", str(tmp_path / "nope.txt"), "--profile", "basic6",
@@ -329,6 +352,24 @@ class TestSweep:
         )
         assert code == 0, err
         assert out.splitlines()[-1].endswith(" recall=n/a")
+
+    def test_minor_grid_without_minor_components_is_usage_error(
+        self, corpus_file, tmp_path, capsys
+    ):
+        path = tmp_path / "step1.json"
+        code, _, err = run_cli(
+            ["train", "--data", corpus_file, "--preset", "step1", "--out", str(path)],
+            capsys,
+        )
+        assert code == 0, err
+        code, out, err = run_cli(
+            ["sweep", "--model", str(path), "--data", corpus_file,
+             "--tm-grid", "1:5:2", "--tmm-grid", "1:3:3"],
+            capsys,
+        )
+        assert code == 2
+        assert "--tmm-grid" in err and "r=0" in err
+        assert out == ""
 
     def test_malformed_grid_is_usage_error(self, trained, corpus_file, capsys):
         code, _, _ = run_cli(

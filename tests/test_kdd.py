@@ -7,11 +7,9 @@ from pca_ids.kdd import (
     BASIC6,
     TRAFFIC10,
     AttackCategory,
-    CategoricalEncoder,
     EmptyDatasetError,
     FeatureProfile,
     MalformedRow,
-    UnknownTokenError,
     build_encoder,
     categorize_attack,
     extract_features,
@@ -261,11 +259,6 @@ class TestEncoder:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
             build_encoder([], BASIC6)
-
-    def test_strict_policy_raises_on_unseen(self):
-        enc = CategoricalEncoder({2: {"tcp": 0}}, unknown_policy="error")
-        with pytest.raises(UnknownTokenError):
-            enc.encode(2, "udp")
 
 
 class TestExtractFeatures:

@@ -174,3 +174,10 @@ class TestValidation:
         broken = dataclasses.replace(basic6_model, t_major=float("nan"))
         with pytest.raises(ValueError):
             save_model(broken, str(tmp_path / "nan.json"))
+        # a good model already at the path survives a failed save
+        path = tmp_path / "good.json"
+        save_model(basic6_model, str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_model(broken, str(path))
+        assert path.read_bytes() == before

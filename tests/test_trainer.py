@@ -172,7 +172,7 @@ class TestFit:
 
         models = []
         for _ in range(2):
-            ds = load_dataset(corpus_file, BASIC6)
+            ds = load_dataset(corpus_file)
             models.append(fit(ds, BASIC6))
         a, b = models
         assert np.array_equal(a.eigen.values, b.eigen.values)
