@@ -41,6 +41,10 @@ def grid_spec(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid must look like lo:hi:steps, got {text!r}"
         )
+    if not np.isfinite(hi - lo):  # a NaN or infinite bound, or a span that overflows
+        raise argparse.ArgumentTypeError(
+            f"grid bounds and their span must be finite, got {text!r}"
+        )
     if steps < 1:
         raise argparse.ArgumentTypeError("grid needs at least one step")
     if hi < lo:
@@ -280,21 +284,23 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # warnings reach stderr through logging's handler of last resort
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An overflowing feature gives an inf score (an attack verdict) or a
+    # refused train; numpy's warning would only repeat that on stderr.
     try:
-        if args.command == "train":
-            return cmd_train(args, parser)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args, parser)
-        if args.command == "inspect":
-            return cmd_inspect(args)
-        parser.error(f"unknown command {args.command!r}")
+        with np.errstate(over="ignore"):
+            if args.command == "train":
+                return cmd_train(args, parser)
+            if args.command == "evaluate":
+                return cmd_evaluate(args)
+            if args.command == "classify":
+                return cmd_classify(args)
+            if args.command == "sweep":
+                return cmd_sweep(args, parser)
+            if args.command == "inspect":
+                return cmd_inspect(args)
+            parser.error(f"unknown command {args.command!r}")
     except (
         OSError,
         EmptyDatasetError,

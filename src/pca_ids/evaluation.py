@@ -1,15 +1,20 @@
 """Confusion matrices, per-class metrics, per-category detection counts,
 and threshold sweeps. The attack class is the positive class throughout.
+
+One tally serves every count: scores are ranked once against the sorted
+distinct thresholds, and a cumulative histogram of (class, major rank,
+minor rank) answers each grid point, so a sweep costs one ranking pass
+plus O(grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .detector import over_thresholds, score_records
+from .detector import score_records
 from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset, Label
 from .trainer import PcaModel
 
@@ -66,40 +71,56 @@ class CategoryCount:
         return self.detected / self.exist if self.exist else None
 
 
-def _attack_mask(items: Sequence) -> np.ndarray:
-    return np.fromiter((_is_attack(item) for item in items), dtype=bool, count=len(items))
+def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of the sorted ``thresholds`` each score exceeds; NaN exceeds none."""
+    k = np.searchsorted(thresholds, scores, side="left")
+    return np.where(np.isnan(scores), 0, k)
 
 
-def _category_masks(labels: Sequence[Label]) -> dict[AttackCategory, np.ndarray]:
-    return {
-        cat: np.fromiter((lab.category is cat for lab in labels), dtype=bool, count=len(labels))
-        for cat in ATTACK_CATEGORIES
-    }
+def _grid_counts(labels: Sequence, k_major, k_minor, shape: tuple[int, int], at) -> tuple:
+    """Categories, group totals and flagged counts per grid point (j, l) of ``at``.
+
+    Groups: attacks, all records, then each category (UNKNOWN only when
+    present). ``k_major``/``k_minor`` are the records' ranks, each below its
+    axis length in ``shape``; a record is flagged unless k_major <= j and
+    k_minor <= l.
+    """
+    items = list(labels)  # holds every item, so no two share an id
+    ids = np.fromiter(map(id, items), dtype=np.uint64, count=len(items))
+    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    index: dict = {}  # (is_attack, category) -> class
+    keys = [(_is_attack(items[i]), getattr(items[i], "category", None)) for i in first]
+    codes = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)[codes]
+    size = (len(index), *shape)
+    flat = np.ravel_multi_index((codes, k_major, k_minor), size)
+    cells = np.bincount(flat, minlength=np.prod(size))
+    unflagged = cells.reshape(size).cumsum(axis=1).cumsum(axis=2)
+    totals = unflagged[:, -1, -1]
+    present = {category for _, category in index}
+    cats = [cat for cat in ATTACK_CATEGORIES if cat in present or cat is not AttackCategory.UNKNOWN]
+    groups = [[attack for attack, _ in index], [True] * len(index)]
+    member = np.array(groups + [[c is cat for _, c in index] for cat in cats], dtype=np.int64)
+    flagged = member @ (totals[:, None] - unflagged[:, at[0], at[1]])
+    return cats, (member @ totals).tolist(), flagged.tolist()
 
 
-def _tally(
-    pred: np.ndarray,
-    actual: np.ndarray,
-    category_masks: dict[AttackCategory, np.ndarray],
-) -> tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]:
-    """Confusion counts, and (exist, detected) per category, of an attack mask."""
-    tp = int(np.count_nonzero(pred & actual))
-    n_attack = int(np.count_nonzero(actual))
-    n_flagged = int(np.count_nonzero(pred))
-    cm = ConfusionMatrix(tp, n_attack - tp, n_flagged - tp, len(pred) - n_attack - n_flagged + tp)
-    categories = {
-        cat: CategoryCount(int(np.count_nonzero(mask)), int(np.count_nonzero(pred & mask)))
-        for cat, mask in category_masks.items()
-        if cat is not AttackCategory.UNKNOWN or mask.any()
-    }
-    return cm, categories
+def _grid_tally(*args) -> list[tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]]:
+    """(ConfusionMatrix, categories) at each grid point; arguments as ``_grid_counts``."""
+    cats, (n_attack, n, *exist), columns = _grid_counts(*args)
+    tallies = []
+    for tp, n_flagged, *detected in zip(*columns):
+        cm = ConfusionMatrix(tp, n_attack - tp, n_flagged - tp, n - n_attack - n_flagged + tp)
+        counts = zip(cats, exist, detected)
+        tallies.append((cm, {cat: CategoryCount(count, hits) for cat, count, hits in counts}))
+    return tallies
 
 
-def _check_lengths(predictions: Sequence, labels: Sequence) -> None:
+def _tally_predictions(predictions: Sequence, labels: Sequence) -> tuple:
+    """The tally of attack predictions: the 1 x 1 grid with k = pred."""
     if len(predictions) != len(labels):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
+        raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
+    k = np.fromiter(map(_is_attack, predictions), dtype=np.intp, count=len(predictions))
+    return _grid_tally(labels, k, np.zeros_like(k), (2, 1), ([0], [0]))[0]
 
 
 def confusion(predictions: Sequence, labels: Sequence) -> ConfusionMatrix:
@@ -108,8 +129,7 @@ def confusion(predictions: Sequence, labels: Sequence) -> ConfusionMatrix:
     Both sequences may hold Verdict/Label objects or plain booleans; any
     object with an is_attack attribute works.
     """
-    _check_lengths(predictions, labels)
-    return _tally(_attack_mask(predictions), _attack_mask(labels), {})[0]
+    return _tally_predictions(predictions, labels)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +152,7 @@ def _ratio(num: int, den: int) -> float | None:
     return num / den if den else None
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
+def metrics(cm: ConfusionMatrix, categories: dict | None = None) -> MetricsReport:
     """All per-class rates for the anomaly class and, with the positive and
     negative roles swapped, the normal class. Zero-denominator ratios come
     back as None rather than NaN.
@@ -150,6 +170,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
         precision_normal=_ratio(cm.tn, cm.tn + cm.fn),
         overall_success=success,
         error_rate=1.0 - success,
+        categories=categories,
     )
 
 
@@ -159,8 +180,7 @@ def per_category(predictions: Sequence, labels: Sequence[Label]) -> dict:
     DOS/PROBE/R2L/U2R rows are always present; UNKNOWN appears only when
     attacks outside the standard taxonomy occur.
     """
-    _check_lengths(predictions, labels)
-    return _tally(_attack_mask(predictions), _attack_mask(labels), _category_masks(labels))[1]
+    return _tally_predictions(predictions, labels)[1]
 
 
 def evaluate(model: PcaModel, dataset: Dataset) -> MetricsReport:
@@ -188,22 +208,26 @@ def sweep(
 ) -> SweepResult:
     """Evaluate one metrics report per (t_major, t_minor) grid point.
 
-    Records are scored exactly once; each grid point only re-applies the
-    thresholds, so dense grids stay cheap.
+    Records are scored once and ranked once against the sorted distinct
+    thresholds; each point is then a lookup in one cumulative histogram of
+    the ranks, so a sweep costs one ranking pass plus O(grid).
     """
     if not grid:
         raise EmptyGrid("threshold grid is empty")
     majc, minc, _ = score_records(model, dataset.records)
-    actual = _attack_mask(dataset.labels)
-    category_masks = _category_masks(dataset.labels)
-
-    points: list[SweepPoint] = []
-    for t_major, t_minor in grid:
-        over_major, over_minor = over_thresholds(majc, minc, t_major, t_minor, model.r)
-        cm, categories = _tally(over_major | over_minor, actual, category_masks)
-        report = replace(metrics(cm), categories=categories)
-        points.append(SweepPoint(float(t_major), t_minor, report))
-
+    t_major = np.array([tm for tm, _ in grid], dtype=float)
+    # no score exceeds NaN, just as none exceeds a minor threshold not in play
+    t_minor = np.array([np.nan if tmm is None or not model.r else tmm for _, tmm in grid])
+    # return_inverse also keeps np.unique off a check whose first call imports numpy.ma
+    u_major, at_major = np.unique(t_major, return_inverse=True)
+    u_minor, at_minor = np.unique(t_minor, return_inverse=True)
+    shape = (len(u_major) + 1, len(u_minor) + 1)
+    ranks = (_rank(majc, u_major), _rank(minc, u_minor))
+    tallies = _grid_tally(dataset.labels, *ranks, shape, (at_major, at_minor))
+    points = [
+        SweepPoint(float(tm), tmm, metrics(cm, categories))
+        for (tm, tmm), (cm, categories) in zip(grid, tallies)
+    ]
     best = max(points, key=lambda pt: pt.report.overall_success)
     return SweepResult(points, best)
 

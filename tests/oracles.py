@@ -93,3 +93,28 @@ def fields_acceptable(fields) -> bool:
         if math.isnan(number) or math.isinf(number) or number < 0:
             return False
     return True
+
+
+def loop_sweep_counts(majc, minc, labels, grid, r: int) -> list:
+    """Per grid point, ((tp, fn, fp, tn), {category name: (exist, detected)}).
+
+    One explicit pass over the records per point. A record is flagged when
+    its major score is > t_major, or when r > 0, t_minor is not None and
+    its minor score is > t_minor. The DOS/PROBE/R2L/U2R rows are always
+    there; any other attack category only when it occurs.
+    """
+    results = []
+    for t_major, t_minor in grid:
+        tp = fn = fp = tn = 0
+        categories = {name: [0, 0] for name in ("DOS", "PROBE", "R2L", "U2R")}
+        for s_major, s_minor, label in zip(majc, minc, labels):
+            flagged = s_major > t_major or (r > 0 and t_minor is not None and s_minor > t_minor)
+            if label.is_attack:
+                tp, fn = (tp + 1, fn) if flagged else (tp, fn + 1)
+                row = categories.setdefault(label.category.value, [0, 0])
+                row[0] += 1
+                row[1] += int(flagged)
+            else:
+                fp, tn = (fp + 1, tn) if flagged else (fp, tn + 1)
+        results.append(((tp, fn, fp, tn), {k: tuple(v) for k, v in categories.items()}))
+    return results

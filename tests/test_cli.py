@@ -8,6 +8,7 @@ import select
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,29 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_cli_without_warnings(argv, capsys):
+    """run_cli, asserting that no warning was raised and none reached stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(argv, capsys)
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err and "overflow" not in err, err
+    return code, out, err
+
+
+def with_src_bytes(lines, value, count):
+    """``lines`` with src_bytes set to ``value`` on the first ``count`` normal rows."""
+    lines = list(lines)
+    changed = 0
+    for k, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[41] == "normal" and changed < count:
+            fields[4] = value
+            lines[k] = ",".join(fields)
+            changed += 1
+    return lines
 
 
 @pytest.fixture()
@@ -118,27 +142,18 @@ class TestTrain:
         model = load_model(str(path))
         assert (model.q, model.r) == (3, 7)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("huge", ["1e200", "1e308"])
     def test_overflowing_feature_is_runtime_error(self, corpus_lines, tmp_path, capsys, huge):
         # 1e200 overflows the squares (std = inf); 1e308 overflows the sum too
-        lines = list(corpus_lines)
-        changed = 0
-        for k, line in enumerate(lines):
-            fields = line.split(",")
-            if fields[41] == "normal" and changed < 2:
-                fields[4] = huge  # src_bytes
-                lines[k] = ",".join(fields)
-                changed += 1
         data = tmp_path / "huge.txt"
-        data.write_text("\n".join(lines) + "\n")
+        data.write_text("\n".join(with_src_bytes(corpus_lines, huge, 2)) + "\n")
         out_path = tmp_path / "m.json"
-        code, _, err = run_cli(
+        code, _, err = run_cli_without_warnings(
             ["train", "--data", str(data), "--preset", "step1", "--out", str(out_path)],
             capsys,
         )
         assert code == 1
-        assert re.search(r"^error: .*src_bytes", err, re.MULTILINE), err
+        assert re.fullmatch(r"error: .*src_bytes.*\n", err), err
         assert not out_path.exists()
 
     def test_unreadable_data_is_runtime_error(self, tmp_path, capsys):
@@ -304,6 +319,20 @@ class TestClassify:
         assert lines[3].startswith('error="line 4: line is not valid UTF-8"')
         assert "errors=1" in err
 
+    @pytest.mark.parametrize("huge", ["1e160", "1e308"])
+    def test_overflowing_record_prints_no_warning(
+        self, trained, corpus_lines, tmp_path, capsys, huge
+    ):
+        path = tmp_path / "huge.txt"
+        normal = next(line for line in corpus_lines if line.split(",")[41] == "normal")
+        path.write_text(with_src_bytes([normal], huge, 1)[0] + "\n")
+        code, out, err = run_cli_without_warnings(
+            ["classify", "--model", trained, "--input", str(path)], capsys
+        )
+        assert code == 0
+        assert out.startswith("verdict=attack majc=inf "), out
+        assert err == "processed=1 attacks=1 normals=0 errors=0\n"
+
     def test_undecodable_input_file_is_one_line_error(self, trained, undecodable, tmp_path, capsys):
         path = tmp_path / "bytes.txt"
         path.write_bytes(undecodable)
@@ -371,6 +400,17 @@ class TestSweep:
         assert "--tmm-grid" in err and "r=0" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--tm-grid", "--tmm-grid"])
+    @pytest.mark.parametrize(
+        "spec", ["1:inf:3", "nan:nan:1", "-inf:1:2", "1:nan:2", "-1e308:1e308:3"]
+    )
+    def test_non_finite_grid_is_usage_error(self, trained, corpus_file, capsys, flag, spec):
+        argv = ["sweep", "--model", trained, "--data", corpus_file, "--tm-grid", "1:5:2"]
+        code, out, err = run_cli([*argv, f"{flag}={spec}"], capsys)
+        assert code == 2
+        assert f"argument {flag}: grid bounds" in err and spec in err, err
+        assert out == ""
+
     def test_malformed_grid_is_usage_error(self, trained, corpus_file, capsys):
         code, _, _ = run_cli(
             ["sweep", "--model", trained, "--data", corpus_file, "--tm-grid", "a:b:c"],
@@ -388,7 +428,7 @@ class TestInspect:
         assert "eigenvalue-sum residual" in out
 
     def test_tampered_model_fails(self, trained, tmp_path, capsys):
-        doc = json.loads(open(trained).read())
+        doc = json.loads(Path(trained).read_text())
         doc["eigen"]["vectors"][0] = [v * 2.0 for v in doc["eigen"]["vectors"][0]]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

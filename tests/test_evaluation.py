@@ -1,8 +1,14 @@
 """Confusion tallies, per-class metrics, category tables, and sweeps."""
 
+import math
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pca_ids import evaluation
 from pca_ids.evaluation import (
     ConfusionMatrix,
     EmptyGrid,
@@ -17,6 +23,8 @@ from pca_ids.evaluation import (
     sweep,
 )
 from pca_ids.kdd import AttackCategory, categorize_attack
+
+from .oracles import loop_sweep_counts
 
 
 def labels_of(*names):
@@ -189,3 +197,71 @@ class TestRendering:
         assert set(doc) == expected_keys
         assert doc["tp"] + doc["fn"] == corpus_dataset.n_attack
         assert {row["category"] for row in doc["categories"]} >= {"DOS", "PROBE"}
+
+
+# Scores and thresholds share a pool, so exact ties are common.
+POOL = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.5, 4.0, math.inf, -math.inf, math.nan]
+VALUES = st.one_of(st.sampled_from(POOL), st.floats(-5.0, 5.0))
+NAMES = ("normal", "normal", "neptune", "satan", "guess_passwd", "rootkit", "mscan")
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Random scores, labels (UNKNOWN attacks or not) and an unsorted grid."""
+    n = draw(st.integers(1, 30))
+    names = NAMES if draw(st.booleans()) else NAMES[:-1]
+    shared = {name: categorize_attack(name) for name in names}
+    # load_dataset shares one Label per name; fresh objects must count the same
+    labels = [
+        shared[name] if draw(st.booleans()) else categorize_attack(name)
+        for name in draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    ]
+    majc = draw(st.lists(VALUES, min_size=n, max_size=n))
+    minc = draw(st.lists(VALUES, min_size=n, max_size=n))
+    grid = draw(st.lists(st.tuples(VALUES, st.none() | VALUES), min_size=1, max_size=12))
+    grid += draw(st.lists(st.sampled_from(grid), max_size=4))  # repeated points
+    return majc, minc, labels, grid, draw(st.sampled_from([0, 2]))
+
+
+def as_oracle(report):
+    cm = report.cm
+    categories = {cat.value: (c.exist, c.detected) for cat, c in report.categories.items()}
+    return (cm.tp, cm.fn, cm.fp, cm.tn), categories
+
+
+class TestTallyMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=sweep_inputs())
+    def test_sweep_equals_per_record_loop(self, inputs):
+        majc, minc, labels, grid, r = inputs
+        scores = (np.array(majc), np.array(minc), np.zeros(len(majc), dtype=bool))
+        model = SimpleNamespace(r=r)
+        dataset = SimpleNamespace(records=[None] * len(labels), labels=labels)
+        with mock.patch.object(evaluation, "score_records", lambda *_: scores):
+            result = sweep(model, dataset, grid)
+        expected = loop_sweep_counts(majc, minc, labels, grid, r)
+        got = [as_oracle(point.report) for point in result.points]
+        assert got == expected
+        assert [list(cats) for _, cats in got] == [list(cats) for _, cats in expected]
+        assert all(pt.t_minor is tmm for pt, (_, tmm) in zip(result.points, grid))
+        t_major = [pt.t_major for pt in result.points]
+        assert np.array_equal(t_major, [tm for tm, _ in grid], equal_nan=True)
+        successes = [(cm[0] + cm[3]) / len(labels) for cm, _ in expected]
+        assert result.best is result.points[successes.index(max(successes))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(NAMES)), min_size=1, max_size=30
+        )
+    )
+    def test_confusion_and_per_category_equal_loop(self, pairs):
+        preds = [pred for pred, _ in pairs]
+        labels = [categorize_attack(name) for _, name in pairs]
+        [(cm, categories)] = loop_sweep_counts(
+            [float(p) for p in preds], [0.0] * len(preds), labels, [(0.5, None)], 0
+        )
+        got = confusion(preds, labels)
+        assert (got.tp, got.fn, got.fp, got.tn) == cm
+        table = per_category(preds, labels)
+        assert {cat.value: (c.exist, c.detected) for cat, c in table.items()} == categories
