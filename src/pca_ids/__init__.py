@@ -28,9 +28,7 @@ from .mvstats import (
     StandardizationParams,
     correlation_matrix,
     eigen_sym,
-    euclidean_sq,
     fit_standardizer,
-    mahalanobis_sq,
     project,
     standardize,
 )
@@ -48,17 +46,13 @@ from .detector import (
     Verdict,
     classify,
     classify_stream,
-    major_score,
-    minor_score,
     score_records,
 )
 from .evaluation import (
     ConfusionMatrix,
     MetricsReport,
-    confusion,
     evaluate,
     metrics,
-    per_category,
     sweep,
 )
 from .modelio import load_model, save_model

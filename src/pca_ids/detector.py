@@ -3,7 +3,8 @@
 A record is an attack when its major-component score exceeds t_major or,
 when minor components are in play, its minor-component score exceeds
 t_minor. Both comparisons are strict, so a score equal to its threshold
-stays normal.
+stays normal. A NaN score exceeds every threshold: a record whose features
+overflow the standardization is an attack, never a silent normal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .kdd import (
     extract_features,
     parse_record,
 )
-from .mvstats import floor_eigenvalues, project, standardize
+from .mvstats import project, standardize
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
@@ -68,9 +69,10 @@ class StreamVerdict:
 def _score_sums(y: np.ndarray, floored: np.ndarray, q: int, r: int):
     """Sums of y_i^2 / lambda_i over the first q and over the last r components.
 
-    ``floored`` holds the eigenvalues already clipped by
-    ``floor_eigenvalues``. A p-vector gives floats, an n x p matrix one
-    sum per row. Every score in the package goes through this function.
+    ``floored`` holds ``EigenPairs.floored_values``. A p-vector gives
+    floats, an n x p matrix one sum per row. This is the only scorer:
+    ``train`` scores its training normals with it, and ``classify``,
+    ``evaluate`` and ``sweep`` score records with it through ``_scores``.
     """
     terms = y * y / floored
     p = terms.shape[-1]
@@ -81,34 +83,15 @@ def _score_sums(y: np.ndarray, floored: np.ndarray, q: int, r: int):
     return major, minor
 
 
-def major_score(y: np.ndarray, eigenvalues: np.ndarray, q: int):
-    """Sum of y_i^2 / lambda_i over the q largest-eigenvalue components.
-
-    A p-vector gives a float, an n x p matrix one score per row.
-    """
-    y = np.asarray(y, dtype=float)
-    p = y.shape[-1]
-    if not 1 <= q <= p:
-        raise ValueError(f"q must be in 1..{p}, got {q}")
-    return _score_sums(y, floor_eigenvalues(eigenvalues), q, 0)[0]
-
-
-def minor_score(y: np.ndarray, eigenvalues: np.ndarray, r: int):
-    """Sum of y_i^2 / lambda_i over the r smallest-eigenvalue components.
-
-    A p-vector gives a float, an n x p matrix one score per row.
-    """
-    y = np.asarray(y, dtype=float)
-    p = y.shape[-1]
-    if not 0 <= r <= p:
-        raise ValueError(f"r must be in 0..{p}, got {r}")
-    return _score_sums(y, floor_eigenvalues(eigenvalues), 0, r)[1]
-
-
 def _scores(model: "PcaModel", x: np.ndarray):
     """(major, minor) scores of one encoded p-vector or of an n x p matrix."""
     y = project(standardize(x, model.standardizer), model.eigen)
     return _score_sums(y, model.eigen.floored_values, model.q, model.r)
+
+
+def _exceeds(score, threshold):
+    """score > threshold, where a NaN score exceeds every threshold but NaN."""
+    return (score > threshold) | ((score != score) & (threshold == threshold))
 
 
 def over_thresholds(majc, minc, t_major: float, t_minor: float | None, r: int):
@@ -117,8 +100,8 @@ def over_thresholds(majc, minc, t_major: float, t_minor: float | None, r: int):
     Works on scalars and on score arrays alike; the minor test is False
     when no minor components are in play.
     """
-    over_minor = r > 0 and t_minor is not None and minc > t_minor
-    return majc > t_major, over_minor
+    over_minor = r > 0 and t_minor is not None and _exceeds(minc, t_minor)
+    return _exceeds(majc, t_major), over_minor
 
 
 _TRIGGERS = {

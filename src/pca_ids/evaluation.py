@@ -2,7 +2,7 @@
 and threshold sweeps. The attack class is the positive class throughout.
 
 One tally serves every count: scores are ranked once against the sorted
-distinct thresholds, and a cumulative histogram of (class, major rank,
+distinct thresholds, and a cumulative histogram of (category, major rank,
 minor rank) answers each grid point, so a sweep costs one ranking pass
 plus O(grid).
 """
@@ -18,9 +18,9 @@ from .detector import score_records
 from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset, Label
 from .trainer import PcaModel
 
-
-class LengthMismatch(ValueError):
-    """Prediction and label sequences differ in length."""
+# A record's class in the tally is its label's category: NORMAL first, then
+# the attack categories with UNKNOWN last.
+_CLASS_OF = {cat: code for code, cat in enumerate((AttackCategory.NORMAL, *ATTACK_CATEGORIES))}
 
 
 class EmptyMatrix(ValueError):
@@ -29,10 +29,6 @@ class EmptyMatrix(ValueError):
 
 class EmptyGrid(ValueError):
     """A sweep needs at least one threshold point."""
-
-
-def _is_attack(item) -> bool:
-    return bool(getattr(item, "is_attack", item))
 
 
 @dataclass(frozen=True)
@@ -52,14 +48,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            self.tp + other.tp,
-            self.fn + other.fn,
-            self.fp + other.fp,
-            self.tn + other.tn,
-        )
-
 
 @dataclass(frozen=True)
 class CategoryCount:
@@ -72,64 +60,40 @@ class CategoryCount:
 
 
 def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many of the sorted ``thresholds`` each score exceeds; NaN exceeds none."""
-    k = np.searchsorted(thresholds, scores, side="left")
-    return np.where(np.isnan(scores), 0, k)
+    """How many of the sorted ``thresholds`` each score exceeds.
 
-
-def _grid_counts(labels: Sequence, k_major, k_minor, shape: tuple[int, int], at) -> tuple:
-    """Categories, group totals and flagged counts per grid point (j, l) of ``at``.
-
-    Groups: attacks, all records, then each category (UNKNOWN only when
-    present). ``k_major``/``k_minor`` are the records' ranks, each below its
-    axis length in ``shape``; a record is flagged unless k_major <= j and
-    k_minor <= l.
+    numpy orders NaN after every number, so a NaN score exceeds every
+    threshold but a NaN one, and a NaN threshold is exceeded by no score.
     """
-    items = list(labels)  # holds every item, so no two share an id
-    ids = np.fromiter(map(id, items), dtype=np.uint64, count=len(items))
-    _, first, codes = np.unique(ids, return_index=True, return_inverse=True)
-    index: dict = {}  # (is_attack, category) -> class
-    keys = [(_is_attack(items[i]), getattr(items[i], "category", None)) for i in first]
-    codes = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)[codes]
-    size = (len(index), *shape)
+    return np.searchsorted(thresholds, scores, side="left")
+
+
+def _grid_tally(
+    labels: Sequence[Label], k_major, k_minor, shape: tuple[int, int], at
+) -> list[tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]]:
+    """(ConfusionMatrix, categories) at each grid point (j, l) of ``at``.
+
+    ``k_major``/``k_minor`` are the records' ranks, each below its axis
+    length in ``shape``; a record is flagged unless k_major <= j and
+    k_minor <= l. A record is an attack when its label's category is not
+    NORMAL; the UNKNOWN row appears only when such attacks are present.
+    """
+    codes = np.fromiter((_CLASS_OF[label.category] for label in labels), np.intp, len(labels))
+    size = (len(_CLASS_OF), *shape)
     flat = np.ravel_multi_index((codes, k_major, k_minor), size)
-    cells = np.bincount(flat, minlength=np.prod(size))
-    unflagged = cells.reshape(size).cumsum(axis=1).cumsum(axis=2)
-    totals = unflagged[:, -1, -1]
-    present = {category for _, category in index}
-    cats = [cat for cat in ATTACK_CATEGORIES if cat in present or cat is not AttackCategory.UNKNOWN]
-    groups = [[attack for attack, _ in index], [True] * len(index)]
-    member = np.array(groups + [[c is cat for _, c in index] for cat in cats], dtype=np.int64)
-    flagged = member @ (totals[:, None] - unflagged[:, at[0], at[1]])
-    return cats, (member @ totals).tolist(), flagged.tolist()
-
-
-def _grid_tally(*args) -> list[tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]]:
-    """(ConfusionMatrix, categories) at each grid point; arguments as ``_grid_counts``."""
-    cats, (n_attack, n, *exist), columns = _grid_counts(*args)
+    unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)
+    exist = unflagged[:, -1, -1]
+    flagged = exist[:, None] - unflagged[:, at[0], at[1]]
+    normals, *attacks = exist.tolist()
+    n_attack = sum(attacks)
+    cats = ATTACK_CATEGORIES if attacks[-1] else ATTACK_CATEGORIES[:-1]
     tallies = []
-    for tp, n_flagged, *detected in zip(*columns):
-        cm = ConfusionMatrix(tp, n_attack - tp, n_flagged - tp, n - n_attack - n_flagged + tp)
-        counts = zip(cats, exist, detected)
+    for fp, *detected in flagged.T.tolist():
+        tp = sum(detected)
+        cm = ConfusionMatrix(tp, n_attack - tp, fp, normals - fp)
+        counts = zip(cats, attacks, detected)  # stops before UNKNOWN when it is absent
         tallies.append((cm, {cat: CategoryCount(count, hits) for cat, count, hits in counts}))
     return tallies
-
-
-def _tally_predictions(predictions: Sequence, labels: Sequence) -> tuple:
-    """The tally of attack predictions: the 1 x 1 grid with k = pred."""
-    if len(predictions) != len(labels):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
-    k = np.fromiter(map(_is_attack, predictions), dtype=np.intp, count=len(predictions))
-    return _grid_tally(labels, k, np.zeros_like(k), (2, 1), ([0], [0]))[0]
-
-
-def confusion(predictions: Sequence, labels: Sequence) -> ConfusionMatrix:
-    """Tally predictions against ground truth.
-
-    Both sequences may hold Verdict/Label objects or plain booleans; any
-    object with an is_attack attribute works.
-    """
-    return _tally_predictions(predictions, labels)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +138,6 @@ def metrics(cm: ConfusionMatrix, categories: dict | None = None) -> MetricsRepor
     )
 
 
-def per_category(predictions: Sequence, labels: Sequence[Label]) -> dict:
-    """(exist, detected-as-attack) per attack category.
-
-    DOS/PROBE/R2L/U2R rows are always present; UNKNOWN appears only when
-    attacks outside the standard taxonomy occur.
-    """
-    return _tally_predictions(predictions, labels)[1]
-
-
 def evaluate(model: PcaModel, dataset: Dataset) -> MetricsReport:
     """Score a labeled dataset with the model and compute the full report."""
     return sweep(model, dataset, [(model.t_major, model.t_minor)]).points[0].report
@@ -216,7 +171,7 @@ def sweep(
         raise EmptyGrid("threshold grid is empty")
     majc, minc, _ = score_records(model, dataset.records)
     t_major = np.array([tm for tm, _ in grid], dtype=float)
-    # no score exceeds NaN, just as none exceeds a minor threshold not in play
+    # a NaN threshold flags nothing: the minor test when it is not in play
     t_minor = np.array([np.nan if tmm is None or not model.r else tmm for _, tmm in grid])
     # return_inverse also keeps np.unique off a check whose first call imports numpy.ma
     u_major, at_major = np.unique(t_major, return_inverse=True)

@@ -139,15 +139,6 @@ class ConnectionRecord:
         """Raw field at a 1-based position."""
         return self.raw_features[position - 1]
 
-    def to_line(self) -> str:
-        """Re-serialize to the comma-separated text form."""
-        parts = list(self.raw_features)
-        if self.label is not None:
-            parts.append(self.label)
-        if self.difficulty is not None:
-            parts.append(str(self.difficulty))
-        return ",".join(parts)
-
 
 def parse_record(
     line: str, line_no: int = 0, allow_unlabeled: bool = False

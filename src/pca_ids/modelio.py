@@ -139,14 +139,17 @@ class Residual:
     ok: bool
 
 
-def eigen_residuals(model: PcaModel) -> tuple[Residual, Residual]:
+def eigen_residuals(model: PcaModel) -> tuple[Residual, Residual] | None:
     """(eigenvalue-sum, orthonormality) residuals against their tolerances.
 
     |sum(lambda) - p| must stay within EIGEN_SUM_TOL * p, and max |V'V - I|
-    within ORTHONORMALITY_TOL; a NaN residual fails.
+    within ORTHONORMALITY_TOL; a NaN residual fails. None when the eigen
+    block is not p values and a p x p vector matrix.
     """
     p = model.profile.p
     vectors = model.eigen.vectors
+    if model.eigen.values.shape != (p,) or vectors.shape != (p, p):
+        return None
     sum_residual = abs(float(np.sum(model.eigen.values)) - p)
     gram_residual = float(np.max(np.abs(vectors.T @ vectors - np.eye(p))))
     return (
@@ -165,7 +168,8 @@ def verify_model(model: PcaModel) -> list[str]:
 
     if std.mean.shape != (p,) or std.std.shape != (p,) or std.degenerate.shape != (p,):
         issues.append("standardizer dimensions do not match the profile")
-    if values.shape != (p,) or vectors.shape != (p, p):
+    residuals = eigen_residuals(model)
+    if residuals is None:
         issues.append("eigen dimensions do not match the profile")
     if issues:
         return issues
@@ -190,7 +194,7 @@ def verify_model(model: PcaModel) -> list[str]:
         if codes != list(range(len(table))):
             issues.append(f"encoder codes at position {position} are not dense 0..K-1")
 
-    eigen_sum, orthonormality = eigen_residuals(model)
+    eigen_sum, orthonormality = residuals
     if not orthonormality.ok:
         issues.append(
             f"eigenvectors are not orthonormal (residual {orthonormality.value:.3e})"

@@ -129,12 +129,7 @@ class EigenPairs:
     @cached_property
     def floored_values(self) -> np.ndarray:
         """The eigenvalues raised to EIGENVALUE_FLOOR, the score divisors."""
-        return floor_eigenvalues(self.values)
-
-
-def floor_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues clipped from below at EIGENVALUE_FLOOR."""
-    return np.maximum(np.asarray(values, dtype=float), EIGENVALUE_FLOOR)
+        return np.maximum(self.values, EIGENVALUE_FLOOR)
 
 
 def eigen_sym(matrix: np.ndarray) -> EigenPairs:
@@ -170,31 +165,6 @@ def eigen_sym(matrix: np.ndarray) -> EigenPairs:
     # a unit vector's largest-magnitude entry is never 0
     vectors *= np.sign(vectors[peaks, np.arange(a.shape[0])])
     return EigenPairs(values[order], vectors)
-
-
-def euclidean_sq(x: np.ndarray, y: np.ndarray) -> float:
-    """Squared straight-line distance between two equal-length vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes differ: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(d @ d)
-
-
-def mahalanobis_sq(x: np.ndarray, mean: np.ndarray, s_inv: np.ndarray) -> float:
-    """Covariance-weighted squared distance (x-mean)' S_inv (x-mean)."""
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    s_inv = np.asarray(s_inv, dtype=float)
-    if x.shape != mean.shape:
-        raise DimensionMismatch(f"shapes differ: {x.shape} vs {mean.shape}")
-    if s_inv.shape != (x.shape[0], x.shape[0]):
-        raise DimensionMismatch(
-            f"weight matrix shape {s_inv.shape} does not match vector length {x.shape[0]}"
-        )
-    d = x - mean
-    return float(d @ s_inv @ d)
 
 
 def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:

@@ -197,12 +197,10 @@ def fit(
         )
         r = shrunk
 
-    Z = standardize(X, standardizer)
-    Y = project(Z, eigen)
-    majc = detector.major_score(Y, eigen.values, q)
-    minc = detector.minor_score(Y, eigen.values, r) if r > 0 else None
+    Y = project(standardize(X, standardizer), eigen)
+    majc, minc = detector._score_sums(Y, eigen.floored_values, q, r)
     t_major, t_minor = calibrate_thresholds(
-        majc, minc, config.alpha_major, config.alpha_minor
+        majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
     )
 
     metadata = {

@@ -70,8 +70,10 @@ def cubic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.sort(np.real(roots))[::-1]
 
 
-def loop_euclidean_sq(x, y) -> float:
-    return float(sum((a - b) ** 2 for a, b in zip(x, y)))
+def mahalanobis_sq(x, mean, s_inv) -> float:
+    """Covariance-weighted squared distance (x-mean)' S_inv (x-mean)."""
+    d = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
+    return float(d @ s_inv @ d)
 
 
 def fields_acceptable(fields) -> bool:
@@ -99,16 +101,23 @@ def loop_sweep_counts(majc, minc, labels, grid, r: int) -> list:
     """Per grid point, ((tp, fn, fp, tn), {category name: (exist, detected)}).
 
     One explicit pass over the records per point. A record is flagged when
-    its major score is > t_major, or when r > 0, t_minor is not None and
-    its minor score is > t_minor. The DOS/PROBE/R2L/U2R rows are always
-    there; any other attack category only when it occurs.
+    its major score exceeds t_major, or when r > 0, t_minor is not None and
+    its minor score exceeds t_minor. A score s exceeds a threshold t when
+    s > t, or when s is NaN and t is not. The DOS/PROBE/R2L/U2R rows are
+    always there; any other attack category only when it occurs.
     """
+
+    def exceeds(s, t):
+        return s > t or (math.isnan(s) and not math.isnan(t))
+
     results = []
     for t_major, t_minor in grid:
         tp = fn = fp = tn = 0
         categories = {name: [0, 0] for name in ("DOS", "PROBE", "R2L", "U2R")}
         for s_major, s_minor, label in zip(majc, minc, labels):
-            flagged = s_major > t_major or (r > 0 and t_minor is not None and s_minor > t_minor)
+            flagged = exceeds(s_major, t_major) or (
+                r > 0 and t_minor is not None and exceeds(s_minor, t_minor)
+            )
             if label.is_attack:
                 tp, fn = (tp + 1, fn) if flagged else (tp, fn + 1)
                 row = categories.setdefault(label.category.value, [0, 0])

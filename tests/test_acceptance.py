@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from pca_ids.detector import major_score, score_records
+from pca_ids.detector import _score_sums, score_records
 from pca_ids.evaluation import ConfusionMatrix, metrics, sweep
 from pca_ids.kdd import (
     BASIC6,
@@ -29,7 +29,6 @@ from pca_ids.mvstats import (
     correlation_matrix,
     eigen_sym,
     fit_standardizer,
-    mahalanobis_sq,
     project,
     standardize,
 )
@@ -37,7 +36,7 @@ from pca_ids.cli import main as cli_main
 from pca_ids.trainer import TrainerConfig, fit
 
 from .conftest import make_corpus
-from .oracles import cubic_eigenvalues
+from .oracles import cubic_eigenvalues, mahalanobis_sq
 
 EIGEN_SUM_TOL = 1e-9          # relative to dimension
 MAHALANOBIS_REL_TOL = 1e-8
@@ -131,7 +130,7 @@ def test_full_score_equals_mahalanobis_distance():
         if pairs.values[-1] < 1e-6:  # keep to nonsingular cases
             continue
         z = rng.normal(size=p)
-        full = major_score(project(z, pairs), pairs.values, p)
+        full, _ = _score_sums(project(z, pairs), pairs.floored_values, p, 0)
         oracle = mahalanobis_sq(z, np.zeros(p), np.linalg.inv(r))
         worst = max(worst, abs(full - oracle) / abs(oracle))
         cases += 1

@@ -11,10 +11,11 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pca_ids
-from pca_ids.cli import main
+from pca_ids.cli import grid_spec, main
 from pca_ids.kdd import MalformedRow, parse_record
 from pca_ids.modelio import load_model
 
@@ -38,6 +39,14 @@ def run_cli_without_warnings(argv, capsys):
     assert [str(w.message) for w in caught] == []
     assert "Warning" not in err and "overflow" not in err, err
     return code, out, err
+
+
+def subprocess_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's pca_ids."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(pca_ids.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def with_src_bytes(lines, value, count):
@@ -267,15 +276,12 @@ class TestClassify:
         assert re.fullmatch(r'error="(.*)" line=(\d+)', text)
 
     def test_stdin_verdicts_flushed_while_input_stays_open(self, trained, corpus_lines):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        src = str(Path(pca_ids.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "pca_ids.cli", "classify", "--model", trained],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            env=env,
+            env=subprocess_env(),
         )
         fd = proc.stdout.fileno()
 
@@ -418,6 +424,26 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec", ["5:5:7", "1:5:2", "1:3:3", "0:50:25", "1:60:60", "0.5:30:60", "2.75:2.75:1"]
+    )
+    def test_grid_is_the_distinct_linspace_values(self, spec):
+        lo, hi, steps = spec.split(":")
+        expected = np.unique(np.linspace(float(lo), float(hi), int(steps))).tolist()
+        assert grid_spec(spec) == expected
+
+    def test_sweep_never_imports_numpy_ma(self, trained, corpus_file):
+        # numpy.ma costs 10-25 ms of start-up, and sweep has no use for it
+        argv = ["sweep", "--model", trained, "--data", corpus_file, "--tm-grid", "1:60:60"]
+        code = (
+            "import sys; from pca_ids.cli import main; "
+            f"assert main({argv!r}) == 0; sys.exit('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestInspect:
     def test_healthy_model_passes(self, trained, capsys):
@@ -435,6 +461,19 @@ class TestInspect:
         code, out, err = run_cli(["inspect", "--model", str(bad)], capsys)
         assert code == 1
         assert "FAIL" in out + err
+
+    def test_misshaped_eigenvectors_name_the_finding(self, trained, corpus_file, tmp_path, capsys):
+        doc = json.loads(Path(trained).read_text())
+        del doc["eigen"]["vectors"][-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        finding = "eigen dimensions do not match the profile"
+        code, _, err = run_cli(["inspect", "--model", str(bad)], capsys)
+        assert code == 1
+        assert err == f"integrity: FAIL {finding}\n"
+        code, _, err = run_cli(["classify", "--model", str(bad), "--input", corpus_file], capsys)
+        assert code == 1
+        assert finding in err
 
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["inspect", "--model", str(tmp_path / "x.json")], capsys)

@@ -2,25 +2,27 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pca_ids.detector import (
     Trigger,
+    _score_sums,
     classify,
     classify_stream,
-    major_score,
-    minor_score,
     score_records,
 )
-from pca_ids.kdd import BASIC6, PROFILES, encode_matrix, parse_record
-from pca_ids.mvstats import mahalanobis_sq, project, standardize
+from pca_ids.evaluation import evaluate
+from pca_ids.kdd import BASIC6, PROFILES, Dataset, categorize_attack, encode_matrix, parse_record
+from pca_ids.mvstats import project, standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
-from .test_kdd import line_for
+from .oracles import mahalanobis_sq
+from .test_kdd import fields_for, line_for
 
 
 @pytest.fixture(scope="module", params=sorted(PRESETS))
@@ -39,21 +41,21 @@ def score_setup():
 
 
 class TestScores:
+    # the eigenvalues of score_setup are all above the floor, so they are
+    # their own floored values
     def test_zero_vector_scores_zero(self, score_setup):
         _, eigenvalues = score_setup
-        zeros = np.zeros(8)
-        assert major_score(zeros, eigenvalues, 3) == 0.0
-        assert minor_score(zeros, eigenvalues, 2) == 0.0
+        assert _score_sums(np.zeros(8), eigenvalues, 3, 2) == (0.0, 0.0)
 
     def test_unit_contribution_on_leading_axis(self, score_setup):
         _, eigenvalues = score_setup
         y = np.zeros(8)
         y[0] = np.sqrt(eigenvalues[0])
-        assert major_score(y, eigenvalues, 1) == pytest.approx(1.0, rel=1e-12)
+        assert _score_sums(y, eigenvalues, 1, 0)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_r_zero_is_always_zero(self, score_setup):
         y, eigenvalues = score_setup
-        assert minor_score(y, eigenvalues, 0) == 0.0
+        assert _score_sums(y, eigenvalues, 3, 0)[1] == 0.0
 
     def test_full_major_score_is_mahalanobis(self, basic6_model, corpus_dataset):
         # with q = p the score is the full quadratic form z' R^-1 z
@@ -68,7 +70,7 @@ class TestScores:
         for idx in rng.integers(0, len(normals), size=10):
             z = standardize(X[idx], model.standardizer)
             y = project(z, model.eigen)
-            full = major_score(y, model.eigen.values, model.p)
+            full, _ = _score_sums(y, model.eigen.floored_values, model.p, 0)
             oracle = mahalanobis_sq(z, np.zeros(model.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
 
@@ -78,18 +80,9 @@ class TestScores:
         middle = float(
             np.sum(y[q : 8 - r] ** 2 / eigenvalues[q : 8 - r])
         )
-        total = major_score(y, eigenvalues, 8)
-        parts = major_score(y, eigenvalues, q) + middle + minor_score(y, eigenvalues, r)
-        assert total == pytest.approx(parts, rel=1e-12)
-
-    def test_bounds_validated(self, score_setup):
-        y, eigenvalues = score_setup
-        with pytest.raises(ValueError):
-            major_score(y, eigenvalues, 0)
-        with pytest.raises(ValueError):
-            major_score(y, eigenvalues, 9)
-        with pytest.raises(ValueError):
-            minor_score(y, eigenvalues, -1)
+        total, _ = _score_sums(y, eigenvalues, 8, 0)
+        major, minor = _score_sums(y, eigenvalues, q, r)
+        assert total == pytest.approx(major + middle + minor, rel=1e-12)
 
 
 class TestClassify:
@@ -213,15 +206,14 @@ class TestScoreRecords:
                 elements=st.floats(-1e6, 1e6),
             )
         )
-        values = model.eigen.values
+        floored = model.eigen.floored_values
         y = project(standardize(X, model.standardizer), model.eigen)
-        batch = [major_score(y, values, model.q), minor_score(y, values, model.r)]
-        full = major_score(y, values, model.p)  # sums past 8 terms on traffic10
+        batch = _score_sums(y, floored, model.q, model.r)
+        full, _ = _score_sums(y, floored, model.p, 0)  # sums past 8 terms on traffic10
         for i, row in enumerate(X):
             y1 = project(standardize(row, model.standardizer), model.eigen)
-            assert major_score(y1, values, model.q) == batch[0][i]
-            assert minor_score(y1, values, model.r) == batch[1][i]
-            assert major_score(y1, values, model.p) == full[i]
+            assert _score_sums(y1, floored, model.q, model.r) == (batch[0][i], batch[1][i])
+            assert _score_sums(y1, floored, model.p, 0)[0] == full[i]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -241,6 +233,87 @@ class TestScoreRecords:
         )
         if not classify(low, record).is_attack:
             assert not classify(high, record).is_attack
+
+
+MAX_FLOAT = sys.float_info.max
+TOKENS = {2: ("tcp", "udp", "icmp"), 3: ("http", "smtp", "private"), 4: ("SF", "REJ")}
+UNSEEN = "telnet"
+
+
+def profile_line(profile, row) -> str:
+    """A 41-field unlabeled line with ``row`` at the profile's positions."""
+    fields = fields_for()
+    for position, value in zip(profile.indices, row):
+        fields[position - 1] = value if isinstance(value, str) else repr(value)
+    return ",".join(fields)
+
+
+@st.composite
+def fitted_cases(draw):
+    """(profile name, q, r, training rows, probe rows) over the accepted domain.
+
+    Training counters drawn from {0, 1} give features with std below 1, as
+    sparse traffic counters have; probes reach the largest float.
+    """
+    name = draw(st.sampled_from(sorted(PROFILES)))
+    profile = PROFILES[name]
+
+    def rows(numbers, extra_token, min_size):
+        fields = [
+            st.sampled_from(TOKENS[pos] + extra_token) if pos in TOKENS else numbers
+            for pos in profile.indices
+        ]
+        return st.lists(st.tuples(*fields), min_size=min_size, max_size=min_size + 16)
+
+    train = draw(rows(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1e3), (), 3))
+    probes = draw(
+        rows(st.sampled_from([0.0, 1e308, MAX_FLOAT]) | st.floats(0.0, MAX_FLOAT), (UNSEEN,), 1)
+    )
+    q = draw(st.integers(1, profile.p))
+    return name, q, draw(st.integers(0, profile.p - q)), train, probes[:4]
+
+
+# basic6, q=3, r=0, trained on 20 normals where duration and src_bytes have
+# std 0.31 and 0.41; a record with both at the largest float projects to
+# inf - inf = NaN on a major component.
+NAN_REPRODUCTION = (
+    "basic6",
+    3,
+    0,
+    list(
+        zip(
+            [1.0] * 2 + [0.0] * 18,  # duration, std 0.31
+            ["tcp", "udp", "tcp", "tcp"] * 5,
+            ["http", "smtp", "http", "private", "http"] * 4,
+            ["SF"] * 15 + ["REJ"] * 5,
+            [1.0, 0.0, 1.0, 1.0, 1.0] + [0.0] * 15,  # src_bytes, std 0.41
+            [float(i % 5) for i in range(20)],
+        )
+    ),
+    [(MAX_FLOAT, "tcp", "http", "SF", MAX_FLOAT, 0.0)],
+)
+
+
+class TestNonFiniteScores:
+    @settings(max_examples=100, deadline=None)
+    @example(case=NAN_REPRODUCTION)
+    @given(case=fitted_cases())
+    def test_every_accepted_line_scores_finite_or_is_an_attack(self, case):
+        name, q, r, train, probes = case
+        profile = PROFILES[name]
+        normal = categorize_attack("normal")
+        records = [parse_record(profile_line(profile, row) + ",normal") for row in train]
+        training = Dataset(records, [normal] * len(records), "train")
+        model = fit(training, profile, TrainerConfig(q_override=q, r_override=r))
+        with np.errstate(over="ignore"):
+            for row in probes:
+                record = parse_record(profile_line(profile, row), allow_unlabeled=True)
+                verdict = classify(model, record)
+                finite = math.isfinite(verdict.major_score) and math.isfinite(verdict.minor_score)
+                assert finite or verdict.is_attack
+                # the matrix path (score_records and the tally) flags the same record
+                report = evaluate(model, Dataset([record], [normal], "probe"))
+                assert report.cm.fp == int(verdict.is_attack)
 
 
 class TestClassifyStream:

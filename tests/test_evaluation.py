@@ -13,13 +13,10 @@ from pca_ids.evaluation import (
     ConfusionMatrix,
     EmptyGrid,
     EmptyMatrix,
-    LengthMismatch,
-    confusion,
     evaluate,
     format_text_report,
     machine_report,
     metrics,
-    per_category,
     sweep,
 )
 from pca_ids.kdd import AttackCategory, categorize_attack
@@ -31,27 +28,31 @@ def labels_of(*names):
     return [categorize_attack(name) for name in names]
 
 
+def sweep_scores(majc, minc, labels, grid, r):
+    """``sweep`` over given scores: the tally alone, with scoring stubbed out."""
+    scores = (np.array(majc, dtype=float), np.array(minc, dtype=float), np.zeros(len(majc), bool))
+    dataset = SimpleNamespace(records=[None] * len(labels), labels=labels)
+    with mock.patch.object(evaluation, "score_records", lambda *_: scores):
+        return sweep(SimpleNamespace(r=r), dataset, grid)
+
+
+def tally(preds, labels):
+    """The report of boolean predictions: a predicted attack scores over the threshold."""
+    return sweep_scores(preds, [0.0] * len(preds), labels, [(0.5, None)], 0).best.report
+
+
 class TestConfusion:
     def test_all_correct(self):
         labels = labels_of("neptune", "smurf", "satan", "normal", "normal")
         preds = [True, True, True, False, False]
-        cm = confusion(preds, labels)
+        cm = tally(preds, labels).cm
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (3, 0, 0, 2)
 
     def test_all_inverted(self):
         labels = labels_of("neptune", "smurf", "satan", "normal", "normal")
         preds = [False, False, False, True, True]
-        cm = confusion(preds, labels)
+        cm = tally(preds, labels).cm
         assert (cm.tp, cm.fn, cm.fp, cm.tn) == (0, 3, 2, 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            confusion([True], labels_of("normal", "normal"))
-
-    def test_merge_is_componentwise(self):
-        a = ConfusionMatrix(1, 2, 3, 4)
-        b = ConfusionMatrix(10, 20, 30, 40)
-        assert a + b == ConfusionMatrix(11, 22, 33, 44)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -101,23 +102,23 @@ class TestPerCategory:
     def test_perfect_detector(self):
         labels = labels_of("neptune", "satan", "guess_passwd", "rootkit", "normal")
         preds = [lab.is_attack for lab in labels]
-        table = per_category(preds, labels)
+        table = tally(preds, labels).categories
         for cat in (AttackCategory.DOS, AttackCategory.PROBE, AttackCategory.R2L, AttackCategory.U2R):
             assert table[cat].exist == 1
             assert table[cat].detected == 1
 
     def test_unknown_category_row_only_when_present(self):
         labels = labels_of("neptune", "normal")
-        table = per_category([True, False], labels)
+        table = tally([True, False], labels).categories
         assert AttackCategory.UNKNOWN not in table
 
         labels = labels_of("mscan", "normal")
-        table = per_category([True, False], labels)
+        table = tally([True, False], labels).categories
         assert table[AttackCategory.UNKNOWN].exist == 1
 
     def test_exist_counts_from_corpus(self, corpus_dataset):
         preds = [False] * len(corpus_dataset)
-        table = per_category(preds, corpus_dataset.labels)
+        table = tally(preds, corpus_dataset.labels).categories
         cats = corpus_dataset.category_counts()
         assert table[AttackCategory.DOS].exist == cats[AttackCategory.DOS]
         assert table[AttackCategory.DOS].detected == 0
@@ -234,11 +235,7 @@ class TestTallyMatchesOracle:
     @given(inputs=sweep_inputs())
     def test_sweep_equals_per_record_loop(self, inputs):
         majc, minc, labels, grid, r = inputs
-        scores = (np.array(majc), np.array(minc), np.zeros(len(majc), dtype=bool))
-        model = SimpleNamespace(r=r)
-        dataset = SimpleNamespace(records=[None] * len(labels), labels=labels)
-        with mock.patch.object(evaluation, "score_records", lambda *_: scores):
-            result = sweep(model, dataset, grid)
+        result = sweep_scores(majc, minc, labels, grid, r)
         expected = loop_sweep_counts(majc, minc, labels, grid, r)
         got = [as_oracle(point.report) for point in result.points]
         assert got == expected
@@ -258,10 +255,7 @@ class TestTallyMatchesOracle:
     def test_confusion_and_per_category_equal_loop(self, pairs):
         preds = [pred for pred, _ in pairs]
         labels = [categorize_attack(name) for _, name in pairs]
-        [(cm, categories)] = loop_sweep_counts(
+        [expected] = loop_sweep_counts(
             [float(p) for p in preds], [0.0] * len(preds), labels, [(0.5, None)], 0
         )
-        got = confusion(preds, labels)
-        assert (got.tp, got.fn, got.fp, got.tn) == cm
-        table = per_category(preds, labels)
-        assert {cat.value: (c.exist, c.detected) for cat, c in table.items()} == categories
+        assert as_oracle(tally(preds, labels)) == expected
