@@ -45,6 +45,7 @@ from .detector import (
     Trigger,
     Verdict,
     classify,
+    classify_file,
     classify_stream,
     score_records,
 )

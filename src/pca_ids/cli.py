@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .detector import classify_stream
+from .detector import classify_file, classify_stream
 from .evaluation import (
     evaluate,
     format_text_report,
@@ -177,6 +177,7 @@ def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.input:
         source = open_text(args.input)
+        items = classify_file(model, source)
     else:
         source = sys.stdin
         if isinstance(source, io.TextIOWrapper):
@@ -184,9 +185,10 @@ def cmd_classify(args) -> int:
         # A live feed must see each verdict as it is made, not at EOF.
         if isinstance(sys.stdout, io.TextIOWrapper):
             sys.stdout.reconfigure(line_buffering=True)
+        items = classify_stream(model, source)
     attacks = normals = errors = 0
     try:
-        for item in classify_stream(model, source):
+        for item in items:
             if item.error is not None:
                 errors += 1
                 print(f"error={_quoted(item.error)} line={item.line_no}")
@@ -253,11 +255,13 @@ def cmd_inspect(args) -> int:
 
     print(f"profile: {model.profile.name} (p={p})")
     print(f"features: {', '.join(model.profile.feature_names())}")
-    print(f"{'component':>10}{'eigenvalue':>14}{'cumulative':>12}")
-    running = 0.0
-    for i, lam in enumerate(model.eigen.values, start=1):
-        running += float(lam)
-        print(f"{i:>10}{lam:>14.6f}{running / p:>12.4f}")
+    residuals = eigen_residuals(model)
+    if residuals is not None:  # the spectrum is p eigenvalues only then
+        print(f"{'component':>10}{'eigenvalue':>14}{'cumulative':>12}")
+        running = 0.0
+        for i, lam in enumerate(model.eigen.values, start=1):
+            running += float(lam)
+            print(f"{i:>10}{lam:>14.6f}{running / p:>12.4f}")
     print(f"selected q={model.q} r={model.r}")
     t_minor = "n/a" if model.t_minor is None else repr(model.t_minor)
     print(f"thresholds: t_major={model.t_major!r} t_minor={t_minor}")
@@ -267,7 +271,6 @@ def cmd_inspect(args) -> int:
     )
     print(f"encoder: {sizes}")
 
-    residuals = eigen_residuals(model)
     if residuals is not None:
         eigen_sum, orthonormality = residuals
         print(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -26,6 +27,9 @@ from .mvstats import project, standardize
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
+
+# Lines that classify_file reads ahead and scores as one matrix.
+CHUNK_LINES = 1024
 
 
 class Trigger(Enum):
@@ -59,7 +63,7 @@ class Verdict:
 
 @dataclass(frozen=True)
 class StreamVerdict:
-    """One classify_stream output item: a verdict or a per-line error."""
+    """One classify_stream or classify_file item: a verdict or a per-line error."""
 
     line_no: int
     verdict: Verdict | None = None
@@ -115,7 +119,7 @@ _TRIGGERS = {
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     fv = extract_features(record, model.profile, model.encoder)
-    majc, minc = _scores(model, fv.values)
+    majc, minc = _scores(model, np.array(fv.values))
     trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor, model.r)]
     return Verdict(trigger is not Trigger.NONE, majc, minc, trigger, fv.unknown_token)
 
@@ -132,18 +136,68 @@ def score_records(
     return majc, minc, unknown
 
 
-def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
-    """Classify a stream of NSL-KDD text lines, one item per non-blank line.
+def _parse_lines(
+    numbered: Iterable[tuple[int, str]],
+) -> Iterator[tuple[int, ConnectionRecord | None, str | None]]:
+    """(line_no, record, None) per non-blank line, (line_no, None, error) if malformed.
 
-    Unlabeled 41-field rows are accepted. Malformed lines yield an error
-    item instead of stopping the stream; order follows the input.
+    Unlabeled 41-field rows are accepted.
     """
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in numbered:
         if not line.strip():
             continue
         try:
             record = parse_record(line, line_no, allow_unlabeled=True)
         except MalformedRow as err:
-            yield StreamVerdict(line_no, error=str(err))
+            yield line_no, None, str(err)
             continue
-        yield StreamVerdict(line_no, verdict=classify(model, record))
+        yield line_no, record, None
+
+
+def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
+    """Classify a stream of NSL-KDD text lines, one item per non-blank line.
+
+    Each line is scored as it arrives, so a live feed gets its verdict
+    before the next line is read. Malformed lines yield an error item
+    instead of stopping the stream; order follows the input.
+    """
+    for line_no, record, error in _parse_lines(enumerate(lines, start=1)):
+        if error is not None:
+            yield StreamVerdict(line_no, error=error)
+        else:
+            yield StreamVerdict(line_no, verdict=classify(model, record))
+
+
+def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
+    """``classify_stream`` for input that is all there: the same items, faster.
+
+    Reads ahead CHUNK_LINES lines at a time and scores the valid records
+    of each block as one matrix with ``score_records``; the scores are
+    bit-identical to those of ``classify``.
+    """
+    numbered = enumerate(lines, start=1)
+    while chunk := list(islice(numbered, CHUNK_LINES)):
+        parsed = list(_parse_lines(chunk))
+        majc, minc, unknown = score_records(
+            model, [record for _, record, _ in parsed if record is not None]
+        )
+        over_major, over_minor = over_thresholds(
+            majc, minc, model.t_major, model.t_minor, model.r
+        )
+        # .tolist() gives the Python floats that classify puts in a Verdict;
+        # with no minor components in play over_minor is a scalar False.
+        scored = zip(
+            majc.tolist(),
+            minc.tolist(),
+            over_major.tolist(),
+            np.broadcast_to(over_minor, majc.shape).tolist(),
+            unknown.tolist(),
+        )
+        for line_no, record, error in parsed:
+            if error is not None:
+                yield StreamVerdict(line_no, error=error)
+                continue
+            major, minor, is_major, is_minor, unknown_token = next(scored)
+            trigger = _TRIGGERS[is_major, is_minor]
+            verdict = Verdict(trigger is not Trigger.NONE, major, minor, trigger, unknown_token)
+            yield StreamVerdict(line_no, verdict=verdict)

@@ -4,7 +4,6 @@ records, pick major/minor components, and calibrate detection thresholds.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -29,8 +28,6 @@ from .mvstats import (
     project,
     standardize,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class EmptyScores(ValueError):
@@ -192,7 +189,9 @@ def fit(
         raise ValueError(f"q={q} exceeds dimension p={p}")
     if q + r > p:
         shrunk = p - q
-        logger.warning(
+        import logging  # only here: its import is ~5 ms of every command's start-up
+
+        logging.getLogger(__name__).warning(
             "q + r = %d exceeds p = %d; r shrunk from %d to %d", q + r, p, r, shrunk
         )
         r = shrunk

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import pca_ids
+from pca_ids import detector, kdd
 from pca_ids.cli import grid_spec, main
 from pca_ids.kdd import MalformedRow, parse_record
 from pca_ids.modelio import load_model
@@ -218,6 +219,20 @@ class TestEvaluate:
         )
         assert code == 1
 
+    def test_evaluate_and_classify_never_import_logging(self, trained, corpus_file):
+        # logging costs about 5 ms of start-up; only fit's q + r > p warning uses it
+        evaluate = ["evaluate", "--model", trained, "--data", corpus_file]
+        classify = ["classify", "--model", trained, "--input", corpus_file]
+        code = (
+            "import sys; from pca_ids.cli import main; "
+            f"assert main({evaluate!r}) == 0; assert main({classify!r}) == 0; "
+            "sys.exit('logging' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestClassify:
     def test_file_replay_matches_evaluate(self, trained, corpus_file, capsys):
@@ -350,6 +365,101 @@ class TestClassify:
         monkeypatch.setattr("sys.stdin", stdin)
         self.check_one_error(*run_cli(["classify", "--model", trained], capsys))
 
+    @pytest.fixture()
+    def awkward(self, corpus_lines, tmp_path):
+        """A file of 17 lines: 7 records, 4 malformed lines and 6 blank ones.
+
+        In blocks of 3 lines, blank lines end the first block and start the
+        second, and fill the third. Two records carry an unseen service and
+        one an overflowing src_bytes; the last line has no newline.
+        """
+        normals = [line for line in corpus_lines if line.split(",")[41] == "normal"]
+        attack = next(line for line in corpus_lines if line.split(",")[41] != "normal")
+
+        def edit(line, position, value):
+            fields = line.split(",")
+            fields[position - 1] = value
+            return ",".join(fields)
+
+        lines = [
+            normals[0],
+            edit(normals[1], 3, "zz_unseen"),
+            "",
+            "   ",
+            ",".join(normals[2].split(",")[:30]),
+            edit(normals[3], 5, "1.7976931348623157e308"),
+            "",
+            "",
+            "",
+            edit(normals[4], 8, "abc"),
+            edit(normals[5], 9, "-1"),
+            edit(normals[6], 3, "\udcff" + normals[6].split(",")[2]),
+            normals[7],
+            edit(attack, 3, "zz_unseen"),
+            "",
+            attack,
+            normals[8],
+        ]
+        path = tmp_path / "awkward.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+        return path
+
+    @pytest.fixture(params=["step1", "step2"])
+    def preset_model(self, request, corpus_file, tmp_path, capsys):
+        path = tmp_path / f"{request.param}.json"
+        argv = ["train", "--data", corpus_file, "--preset", request.param, "--out", str(path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        return str(path)
+
+    def test_file_blocks_match_stdin_byte_for_byte(
+        self, preset_model, awkward, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(detector, "CHUNK_LINES", 3)
+        from_file = run_cli_without_warnings(
+            ["classify", "--model", preset_model, "--input", str(awkward)], capsys
+        )
+        stdin = io.TextIOWrapper(io.BytesIO(awkward.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        from_stdin = run_cli_without_warnings(["classify", "--model", preset_model], capsys)
+        assert from_file == from_stdin
+        code, out, err = from_file
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split("=")[0] for line in lines] == (
+            ["verdict"] * 2 + ["error", "verdict"] + ["error"] * 3 + ["verdict"] * 4
+        )
+        errors = [line.rsplit(" line=", 1)[1] for line in lines if line.startswith("error=")]
+        assert errors == ["5", "10", "11", "12"]
+        assert "line is not valid UTF-8" in lines[6]
+        assert lines[3].startswith("verdict=attack majc=")
+        assert out.count(" unknown_token=true") == 2
+        assert re.fullmatch(r"processed=11 attacks=\d+ normals=\d+ errors=4\n", err), err
+
+    def test_file_path_encodes_each_record_with_extract_features(
+        self, trained, awkward, capsys, monkeypatch
+    ):
+        # perfbench's tracer counts unknown tokens by rebinding extract_features
+        # in every pca_ids namespace that holds it, as done here.
+        original = kdd.extract_features
+        results = []
+
+        def counting(*args, **kwargs):
+            result = original(*args, **kwargs)
+            results.append(result)
+            return result
+
+        for name, module in list(sys.modules.items()):
+            if name == "pca_ids" or name.startswith("pca_ids."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, out, _ = run_cli(["classify", "--model", trained, "--input", str(awkward)], capsys)
+        assert code == 0
+        assert len(results) == 7
+        assert sum(result.unknown_token for result in results) == 2
+        assert out.count(" unknown_token=true") == 2
+
 
 class TestSweep:
     def test_single_point_matches_evaluate(self, trained, corpus_file, capsys):
@@ -471,6 +581,29 @@ class TestInspect:
         code, _, err = run_cli(["inspect", "--model", str(bad)], capsys)
         assert code == 1
         assert err == f"integrity: FAIL {finding}\n"
+        code, _, err = run_cli(["classify", "--model", str(bad), "--input", corpus_file], capsys)
+        assert code == 1
+        assert finding in err
+
+    @pytest.mark.parametrize(
+        "misshape",
+        [
+            pytest.param(lambda values: 1.23, id="number"),
+            pytest.param(lambda values: [values], id="nested"),
+        ],
+    )
+    def test_misshaped_eigenvalues_name_the_finding(
+        self, trained, corpus_file, tmp_path, capsys, misshape
+    ):
+        doc = json.loads(Path(trained).read_text())
+        doc["eigen"]["values"] = misshape(doc["eigen"]["values"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        finding = "eigen dimensions do not match the profile"
+        code, out, err = run_cli(["inspect", "--model", str(bad)], capsys)
+        assert code == 1
+        assert err == f"integrity: FAIL {finding}\n"
+        assert "eigenvalue" not in out
         code, _, err = run_cli(["classify", "--model", str(bad), "--input", corpus_file], capsys)
         assert code == 1
         assert finding in err

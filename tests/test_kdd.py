@@ -287,7 +287,7 @@ class TestExtractFeatures:
             491.0,
             0.0,
         ]
-        assert fv.values.tolist() == expected
+        assert fv.values == expected
         assert not fv.unknown_token
 
     def test_traffic10_appends_counts(self, encoder):
@@ -297,14 +297,14 @@ class TestExtractFeatures:
             )
         )
         fv = extract_features(rec, TRAFFIC10, encoder)
-        assert fv.values.shape == (10,)
-        assert fv.values[6:].tolist() == [12.0, 9.0, 100.0, 90.0]
+        assert len(fv.values) == 10
+        assert fv.values[6:] == [12.0, 9.0, 100.0, 90.0]
 
     def test_unknown_token_gets_overflow_code(self, encoder):
         rec = parse_record(line_for(label="normal", p3="irc"))
         fv = extract_features(rec, BASIC6, encoder)
         assert fv.unknown_token
-        assert fv.values.shape == (6,)
+        assert len(fv.values) == 6
         assert fv.values[2] == float(encoder.size(3))
 
 
