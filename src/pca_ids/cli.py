@@ -19,7 +19,14 @@ from .evaluation import (
     machine_report,
     sweep,
 )
-from .kdd import DECODE_ERRORS, EmptyDatasetError, PROFILES, load_dataset, open_text
+from .kdd import (
+    DECODE_ERRORS,
+    Dataset,
+    EmptyDatasetError,
+    PROFILES,
+    load_dataset,
+    open_text,
+)
 from .modelio import (
     ModelFormatError,
     ModelIntegrityError,
@@ -102,6 +109,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_dataset(path: str) -> Dataset:
+    """``load_dataset``, with one stderr line when it skipped malformed lines."""
+    dataset = load_dataset(path)
+    n = dataset.malformed_count
+    if n:
+        lines = "line" if n == 1 else "lines"
+        first = dataset.malformed_lines[0][1]
+        print(f"skipped {n} malformed {lines}; first: {first}", file=sys.stderr)
+    return dataset
+
+
 def _trainer_config(args) -> TrainerConfig:
     """Defaults, overridden by the preset's q/r, overridden by explicit flags."""
     preset = PRESETS.get(args.preset, {})
@@ -136,7 +154,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         parser.error("one of --profile or --preset is required")
 
     config = _trainer_config(args)
-    dataset = load_dataset(args.data)
+    dataset = _load_dataset(args.data)
     model = fit(dataset, profile, config)
     save_model(model, args.out)
 
@@ -155,7 +173,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    dataset = load_dataset(args.data)
+    dataset = _load_dataset(args.data)
     report = evaluate(model, dataset)
     if args.format == "machine":
         text = json.dumps(machine_report(report), indent=2)
@@ -214,7 +232,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     model = load_model(args.model)
     if args.tmm_grid and model.r == 0:
         parser.error("--tmm-grid needs a model with minor components; this one has r=0")
-    dataset = load_dataset(args.data)
+    dataset = _load_dataset(args.data)
     if args.tmm_grid:
         minor_values = args.tmm_grid
     elif model.r > 0:

@@ -3,11 +3,21 @@
 Input format: one record per line, comma separated, with 41 features
 followed by a label and an optional difficulty integer. Labels may carry
 a KDD99-style trailing period. Three features (protocol_type, service,
-flag) are token valued; every other feature is a non-negative decimal.
+flag) are token valued; every other feature is a number: any literal that
+Python's ``float`` reads as a finite value >= 0, with whitespace around it
+allowed (``-0``, ``+3``, ``1e5``, ``1_0`` and ``.5`` all count).
+
+Most lines are canonical: plain ASCII digits with an optional fraction and
+at most 300 integer digits, tokens and label of printable ASCII without
+space or comma, a difficulty of at most 18 digits, and no whitespace but
+around the line. ``parse_record`` accepts those with one pattern match and
+no ``float`` call; every other line takes the per-field path, which alone
+decides and words each rejection, and costs a few microseconds more.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,8 +137,7 @@ def categorize_attack(raw_name: str) -> Label:
     return Label(True, category, name)
 
 
-@dataclass(frozen=True)
-class ConnectionRecord:
+class ConnectionRecord(NamedTuple):
     """One parsed connection record: 41 raw fields plus optional label."""
 
     raw_features: tuple[str, ...]
@@ -140,6 +149,22 @@ class ConnectionRecord:
         return self.raw_features[position - 1]
 
 
+# Builds a NamedTuple from one tuple of fields, skipping its Python-level
+# __new__; ConnectionRecord and FeatureVector are made once per record.
+_new_tuple = tuple.__new__
+
+# A canonical line, stripped: groups are the 41 features, the label and the
+# difficulty. At most 300 integer digits keep every number, and the sum of
+# all 38, finite. The fraction is spelled "(?:\.[0-9]*|)" for speed alone:
+# with "(?:\.[0-9]*)?" a line matches about 40% slower.
+_NUMBER = r"[0-9]{1,300}(?:\.[0-9]*|)"
+_TOKEN = r"[\x21-\x2b\x2d-\x7e]+"  # printable ASCII but space and comma
+_CANONICAL_LINE = re.compile(
+    rf"({_NUMBER},{_TOKEN},{_TOKEN},{_TOKEN}(?:,{_NUMBER}){{37}})"
+    rf"(?:,({_TOKEN})(?:,([0-9]{{1,18}}))?)?"
+)
+
+
 def parse_record(
     line: str, line_no: int = 0, allow_unlabeled: bool = False
 ) -> ConnectionRecord:
@@ -147,13 +172,35 @@ def parse_record(
 
     Accepts 42 fields (features + label) or 43 (+ difficulty). With
     ``allow_unlabeled`` a bare 41-field row is also accepted, for pure
-    detection streams.
+    detection streams. A numeric field is any literal that ``float`` reads
+    as a finite value >= 0, with whitespace around it allowed.
+
+    A canonical line (see the module docstring) is accepted by one match of
+    ``_CANONICAL_LINE`` and split once, with no ``float`` call: each number
+    is converted once, by ``extract_features``. Any other line goes to
+    ``_parse_fields``, which gives the same record or the rejection.
 
     Raises:
         MalformedRow: wrong field count, a numeric field that is not a
-            finite non-negative decimal, or bytes that are not UTF-8 (which
+            finite non-negative number, or bytes that are not UTF-8 (which
             ``open_text`` decodes to lone surrogates).
     """
+    match = _CANONICAL_LINE.fullmatch(line.strip())
+    if match is not None:
+        features, label, difficulty = match.groups()
+        if label is not None:
+            difficulty = None if difficulty is None else int(difficulty)
+            return _new_tuple(
+                ConnectionRecord, (tuple(features.split(",")), label.rstrip("."), difficulty)
+            )
+        if allow_unlabeled:
+            return _new_tuple(ConnectionRecord, (tuple(features.split(",")), None, None))
+    return _parse_fields(line, line_no, allow_unlabeled)
+
+
+def _parse_fields(line: str, line_no: int, allow_unlabeled: bool) -> ConnectionRecord:
+    """``parse_record`` for any line, one field at a time; the only code that
+    words a MalformedRow."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -381,9 +428,6 @@ class FeatureVector(NamedTuple):
 
     values: list[float]
     unknown_token: bool
-
-
-_new_tuple = tuple.__new__
 
 
 def extract_features(

@@ -54,8 +54,8 @@ class TrainerConfig:
     def __post_init__(self):
         if not 0.0 < self.variance_target <= 1.0:
             raise ValueError("variance_target must be in (0, 1]")
-        if self.minor_cutoff <= 0.0:
-            raise ValueError("minor_cutoff must be positive")
+        if not 0.0 < self.minor_cutoff < math.inf:  # NaN fails both tests
+            raise ValueError("minor_cutoff must be finite and positive")
         for name in ("alpha_major", "alpha_minor"):
             alpha = getattr(self, name)
             if not 0.0 < alpha < 1.0:

@@ -166,6 +166,21 @@ class TestTrain:
         assert re.fullmatch(r"error: .*src_bytes.*\n", err), err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("cutoff", ["nan", "inf"])
+    def test_non_finite_minor_cutoff_is_refused_before_loading(
+        self, corpus_file, tmp_path, capsys, cutoff
+    ):
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            ["train", "--data", corpus_file, "--profile", "basic6",
+             "--minor-cutoff", cutoff, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert re.fullmatch(r"error: minor_cutoff .*\n", err), err
+        assert out == ""  # no dataset summary: the data was never read
+        assert not out_path.exists()
+
     def test_unreadable_data_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["train", "--data", str(tmp_path / "nope.txt"), "--profile", "basic6",
@@ -553,6 +568,44 @@ class TestSweep:
             [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestMalformedLinesNote:
+    """train, evaluate and sweep name the lines load_dataset skipped, on stderr."""
+
+    COMMANDS = ("train", "evaluate", "sweep")
+
+    @staticmethod
+    def argv(command, model, data, tmp_path):
+        return {
+            "train": ["train", "--data", data, "--profile", "basic6",
+                      "--out", str(tmp_path / "new.json")],
+            "evaluate": ["evaluate", "--model", model, "--data", data],
+            "sweep": ["sweep", "--model", model, "--data", data, "--tm-grid", "1:5:3"],
+        }[command]
+
+    @pytest.mark.parametrize("n_bad", [1, 12])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_skipped_lines_are_counted_and_the_first_named(
+        self, command, n_bad, trained, corpus_lines, tmp_path, capsys
+    ):
+        lines = list(corpus_lines)
+        for k in range(n_bad):
+            lines.insert(2 + k, "1,2,3")  # lines 3, 4, ...
+        data = tmp_path / "damaged.txt"
+        data.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(self.argv(command, trained, str(data), tmp_path), capsys)
+        assert code == 0
+        noun = "line" if n_bad == 1 else "lines"
+        assert err == (
+            f"skipped {n_bad} malformed {noun}; first: line 3: expected 42 or 43 fields, got 3\n"
+        )
+        assert "first: line" not in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_clean_file_leaves_stderr_empty(self, command, trained, corpus_file, tmp_path, capsys):
+        code, _, err = run_cli(self.argv(command, trained, corpus_file, tmp_path), capsys)
+        assert (code, err) == (0, "")
 
 
 class TestInspect:

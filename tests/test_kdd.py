@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pca_ids import kdd
 from pca_ids.kdd import (
     BASIC6,
     TRAFFIC10,
     AttackCategory,
+    ConnectionRecord,
     EmptyDatasetError,
     FeatureProfile,
     MalformedRow,
@@ -114,7 +116,8 @@ class TestParseRecord:
             st.integers(1, 41),
             st.sampled_from(
                 ["0", "1.5", "1_0", " 7 ", "-0", "+3", "1e308", "1e309",
-                 "nan", "-inf", "0x10", "", "tcp"]
+                 "nan", "-inf", "0x10", "", "tcp", ".5", "5.", "1" + "0" * 300,
+                 "9" * 309]
             ),
             max_size=5,
         )
@@ -148,6 +151,142 @@ class TestParseRecord:
             parse_record(line, allow_unlabeled=allow_unlabeled)
         except MalformedRow:
             pass
+
+
+def outcome(parse, line, allow_unlabeled):
+    """The record ``parse`` gives as a plain tuple, or the message it raises."""
+    try:
+        record = parse(line, 7, allow_unlabeled)
+    except MalformedRow as err:
+        return "raised", str(err)
+    assert type(record) is ConnectionRecord
+    return tuple(record)
+
+
+# Whitespace that str.strip and float() both drop; \x1c-\x1f are among it.
+WHITESPACE = ["\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", " "]
+
+
+def _insert(text):
+    return lambda value, pad: value[:1] + text + value[1:]
+
+
+# Edits that take a field off the canonical form; (value, whitespace) -> value.
+FIELD_MUTATIONS = {
+    "pad around": lambda value, pad: pad + value + pad,
+    "pad inside": lambda value, pad: value[:1] + pad + value[1:],
+    "plus sign": lambda value, pad: "+" + value,
+    "minus sign": lambda value, pad: "-" + value,
+    "exponent": lambda value, pad: value + "e5",
+    "huge exponent": lambda value, pad: value + "e400",
+    "negative exponent": lambda value, pad: value + "E-3",
+    "underscore": _insert("_"),
+    "leading dot": lambda value, pad: ".5",
+    "trailing dot": lambda value, pad: "5.",
+    "300 digits": lambda value, pad: "9" * 300,
+    "301 digits": lambda value, pad: "1" + "0" * 300,
+    "309 digits": lambda value, pad: "9" * 309,
+    "DEL": _insert("\x7f"),
+    "Arabic-Indic digit": _insert("\u0665"),
+    "fullwidth digit": lambda value, pad: "\uff17",
+    "accented letter": _insert("\u00e9"),
+    "empty": lambda value, pad: "",
+}
+
+canonical_number = st.one_of(
+    st.integers(0, 10**12).map(str),
+    st.integers(1, 999).map(str),  # not 0, which takes a sign and stays valid
+    st.builds("{}.{}".format, st.integers(0, 10**6), st.sampled_from(["", "0", "5", "0625"])),
+)
+canonical_token = st.text(
+    st.characters(min_codepoint=0x21, max_codepoint=0x7E, blacklist_characters=","),
+    min_size=1,
+    max_size=8,
+)
+labels = st.one_of(
+    st.sampled_from(["normal", "neptune.", "smurf..", ".", ""]), canonical_token
+)
+difficulties = st.one_of(
+    st.integers(0, 10**18 - 1).map(str),
+    st.sampled_from(["007", "9" * 19, "+3", "-1", "1_0", "x", "", "\u0665"]),
+)
+
+
+@st.composite
+def canonical_rows(draw):
+    """41 canonical fields, then nothing, a label, or a label and a difficulty."""
+    fields = draw(st.lists(canonical_number, min_size=41, max_size=41))
+    fields[1:4] = draw(st.lists(canonical_token, min_size=3, max_size=3))
+    tail = draw(st.integers(0, 2))
+    if tail >= 1:
+        fields.append(draw(labels))
+    if tail == 2:
+        fields.append(draw(difficulties))
+    return fields
+
+
+CANONICAL = fields_for(p5=491) + ["normal", "21"]
+
+
+class TestCanonicalFastPath:
+    """parse_record's one-match path for canonical lines changes no outcome."""
+
+    @settings(max_examples=600, deadline=None)
+    @example(  # the token class must not hold whitespace that strip drops
+        fields=CANONICAL, mutations=[("pad around", 2, "\x1c")], n_fields=None, around="",
+        allow_unlabeled=False,
+    )
+    @example(  # nor may a number carry a sign
+        fields=CANONICAL, mutations=[("minus sign", 4, "")], n_fields=None, around="",
+        allow_unlabeled=False,
+    )
+    @example(  # and 309 digits overflow a float
+        fields=CANONICAL, mutations=[("309 digits", 5, "")], n_fields=None, around="",
+        allow_unlabeled=True,
+    )
+    @given(
+        fields=canonical_rows(),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(FIELD_MUTATIONS)),
+                # a token (fields 2-4) half the time
+                st.one_of(st.integers(1, 3), st.integers(0, 42)),
+                st.sampled_from(WHITESPACE),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        n_fields=st.sampled_from([None, None, None, 40, 41, 42, 43, 44]),  # None: as built
+        around=st.sampled_from(["", "\n", "\r\n", " ", "\t", "\x1f"]),
+        allow_unlabeled=st.booleans(),
+    )
+    def test_same_outcome_as_the_per_field_path(
+        self, fields, mutations, n_fields, around, allow_unlabeled
+    ):
+        fields = list(fields)
+        for kind, index, pad in mutations:
+            index %= len(fields)
+            fields[index] = FIELD_MUTATIONS[kind](fields[index], pad)
+        if n_fields is not None:
+            fields = (fields + ["0"] * 5)[:n_fields]
+        line = around + ",".join(fields) + around
+        assert outcome(parse_record, line, allow_unlabeled) == outcome(
+            kdd._parse_fields, line, allow_unlabeled
+        )
+
+    def test_canonical_lines_skip_the_per_field_path(self, corpus_lines, monkeypatch):
+        def per_field(line, line_no, allow_unlabeled):
+            raise AssertionError(f"per-field path taken for {line!r}")
+
+        monkeypatch.setattr(kdd, "_parse_fields", per_field)
+        extremes = fields_for(p1="9" * 300, p5="5.", p6="0.0625", p41="0" * 300)
+        lines = [
+            *corpus_lines,
+            ",".join(extremes) + ",smurf.," + "9" * 18 + "\n",
+            " " + ",".join(extremes) + "\t",
+        ]
+        for line in lines:
+            parse_record(line, allow_unlabeled=True)
 
 
 class TestCategorize:

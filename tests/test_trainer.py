@@ -88,6 +88,8 @@ class TestTrainerConfig:
             {"alpha_minor": 1.0},
             {"q_override": 0},
             {"r_override": -1},
+            {"minor_cutoff": float("nan")},
+            {"minor_cutoff": float("inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
