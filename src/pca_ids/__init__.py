@@ -52,6 +52,7 @@ from .detector import (
 from .evaluation import (
     ConfusionMatrix,
     MetricsReport,
+    SweepResult,
     evaluate,
     metrics,
     sweep,

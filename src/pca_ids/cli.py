@@ -242,26 +242,19 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     grid = [(tm, tmm) for tm in args.tm_grid for tmm in minor_values]
 
     result = sweep(model, dataset, grid)
-    header = (
-        f"{'t_major':>14}{'t_minor':>14}{'recall':>10}{'fpr':>10}{'success':>10}"
-    )
-    print(header)
-    for point in result.points:
-        tmm = "n/a" if point.t_minor is None else f"{point.t_minor:.6g}"
-        rep = point.report
-        print(
-            f"{point.t_major:>14.6g}{tmm:>14}"
-            f"{rep.recall_anomaly if rep.recall_anomaly is not None else float('nan'):>10.4f}"
-            f"{rep.fpr_anomaly if rep.fpr_anomaly is not None else float('nan'):>10.4f}"
-            f"{rep.overall_success:>10.4f}"
-        )
-    best = result.best
-    best_tmm = "n/a" if best.t_minor is None else f"{best.t_minor:.6g}"
-    recall = best.report.recall_anomaly
+    rows = [f"{'t_major':>14}{'t_minor':>14}{'recall':>10}{'fpr':>10}{'success':>10}"]
+    for (tm, tmm), recall, fpr, success in zip(grid, result.recall, result.fpr, result.success):
+        tmm_text = "n/a" if tmm is None else f"{tmm:.6g}"
+        rows.append(f"{tm:>14.6g}{tmm_text:>14}{recall:>10.4f}{fpr:>10.4f}{success:>10.4f}")
+    print("\n".join(rows))
+    best_tm, best_tmm = grid[result.best]
+    best = result.report(result.best)
+    best_tmm_text = "n/a" if best_tmm is None else f"{best_tmm:.6g}"
+    recall = best.recall_anomaly
     best_recall = "n/a" if recall is None else f"{recall:.4f}"
     print(
-        f"best: t_major={best.t_major:.6g} t_minor={best_tmm} "
-        f"success={best.report.overall_success:.4f} recall={best_recall}"
+        f"best: t_major={best_tm:.6g} t_minor={best_tmm_text} "
+        f"success={best.overall_success:.4f} recall={best_recall}"
     )
     return 0
 

@@ -3,12 +3,17 @@ and threshold sweeps. The attack class is the positive class throughout.
 
 One tally serves every count: scores are ranked once against the sorted
 distinct thresholds, and a cumulative histogram of (category, major rank,
-minor rank) answers each grid point, so a sweep costs one ranking pass
-plus O(grid).
+minor rank) answers each grid point. A sweep stays columnar from there:
+the flagged counts are one classes x points array, and recall, FPR and
+overall success are array divisions by the class totals, computed by the
+same code that serves a single report. No report object is built per
+point; ``SweepResult.report(k)`` builds one on request. A sweep costs one
+ranking pass plus a few microseconds per point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,10 +49,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fn, self.fp, self.tn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fn + self.fp + self.tn
-
 
 @dataclass(frozen=True)
 class CategoryCount:
@@ -70,30 +71,20 @@ def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 def _grid_tally(
     labels: Sequence[Label], k_major, k_minor, shape: tuple[int, int], at
-) -> list[tuple[ConfusionMatrix, dict[AttackCategory, CategoryCount]]]:
-    """(ConfusionMatrix, categories) at each grid point (j, l) of ``at``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(exist, flagged): the records of each class, and those flagged at
+    each grid point (j, l) of ``at`` as a classes x points array.
 
     ``k_major``/``k_minor`` are the records' ranks, each below its axis
     length in ``shape``; a record is flagged unless k_major <= j and
-    k_minor <= l. A record is an attack when its label's category is not
-    NORMAL; the UNKNOWN row appears only when such attacks are present.
+    k_minor <= l. Classes are numbered as in ``_CLASS_OF``.
     """
     codes = np.fromiter((_CLASS_OF[label.category] for label in labels), np.intp, len(labels))
     size = (len(_CLASS_OF), *shape)
     flat = np.ravel_multi_index((codes, k_major, k_minor), size)
     unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)
     exist = unflagged[:, -1, -1]
-    flagged = exist[:, None] - unflagged[:, at[0], at[1]]
-    normals, *attacks = exist.tolist()
-    n_attack = sum(attacks)
-    cats = ATTACK_CATEGORIES if attacks[-1] else ATTACK_CATEGORIES[:-1]
-    tallies = []
-    for fp, *detected in flagged.T.tolist():
-        tp = sum(detected)
-        cm = ConfusionMatrix(tp, n_attack - tp, fp, normals - fp)
-        counts = zip(cats, attacks, detected)  # stops before UNKNOWN when it is absent
-        tallies.append((cm, {cat: CategoryCount(count, hits) for cat, count, hits in counts}))
-    return tallies
+    return exist, exist[:, None] - unflagged[:, at[0], at[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +103,22 @@ class MetricsReport:
     categories: dict[AttackCategory, CategoryCount] | None = None
 
 
-def _ratio(num: int, den: int) -> float | None:
+def _ratio(num, den: int):
+    """num / den, or None when den is 0; ``num`` may be an int or an int array."""
     return num / den if den else None
+
+
+def _anomaly_rates(tp, fp, attacks: int, normals: int):
+    """(recall, FPR, overall success) of the attack class from the attacks
+    flagged (``tp``) and the normals flagged (``fp``) out of the class totals.
+
+    The denominators are the class totals, so the same code serves one
+    report's ints and a sweep's int arrays, one entry per grid point.
+    """
+    total = attacks + normals
+    if total == 0:
+        raise EmptyMatrix("confusion matrix has no observations")
+    return _ratio(tp, attacks), _ratio(fp, normals), (tp + normals - fp) / total
 
 
 def metrics(cm: ConfusionMatrix, categories: dict | None = None) -> MetricsReport:
@@ -121,13 +126,11 @@ def metrics(cm: ConfusionMatrix, categories: dict | None = None) -> MetricsRepor
     negative roles swapped, the normal class. Zero-denominator ratios come
     back as None rather than NaN.
     """
-    if cm.total == 0:
-        raise EmptyMatrix("confusion matrix has no observations")
-    success = (cm.tp + cm.tn) / cm.total
+    recall, fpr, success = _anomaly_rates(cm.tp, cm.fp, cm.tp + cm.fn, cm.fp + cm.tn)
     return MetricsReport(
         cm=cm,
-        recall_anomaly=_ratio(cm.tp, cm.tp + cm.fn),
-        fpr_anomaly=_ratio(cm.fp, cm.fp + cm.tn),
+        recall_anomaly=recall,
+        fpr_anomaly=fpr,
         precision_anomaly=_ratio(cm.tp, cm.tp + cm.fp),
         recall_normal=_ratio(cm.tn, cm.tn + cm.fp),
         fpr_normal=_ratio(cm.fn, cm.fn + cm.tp),
@@ -140,20 +143,41 @@ def metrics(cm: ConfusionMatrix, categories: dict | None = None) -> MetricsRepor
 
 def evaluate(model: PcaModel, dataset: Dataset) -> MetricsReport:
     """Score a labeled dataset with the model and compute the full report."""
-    return sweep(model, dataset, [(model.t_major, model.t_minor)]).points[0].report
+    return sweep(model, dataset, [(model.t_major, model.t_minor)]).report(0)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
-    t_major: float
-    t_minor: float | None
-    report: MetricsReport
-
-
-@dataclass(frozen=True, eq=False)
 class SweepResult:
-    points: list[SweepPoint]
-    best: SweepPoint  # highest overall success; first on ties
+    """A sweep's counts, with the attack class's recall, FPR and overall
+    success as columns of Python floats, one entry per grid point.
+
+    A rate whose class is absent is NaN at every point. ``best`` is the
+    index of the first point with the highest success; ``report(k)``
+    builds the full report of point k.
+    """
+
+    def __init__(
+        self, grid: Sequence[tuple[float, float | None]], exist: np.ndarray, flagged: np.ndarray
+    ):
+        self.grid = grid
+        self.exist = exist  # records per class, numbered as in _CLASS_OF
+        self.flagged = flagged  # classes x points
+        normals, *attacks = exist.tolist()
+        rates = _anomaly_rates(flagged[1:].sum(0), flagged[0], sum(attacks), normals)
+        self.recall, self.fpr, self.success = (
+            [math.nan] * len(grid) if rate is None else rate.tolist() for rate in rates
+        )
+        self.best = self.success.index(max(self.success))
+
+    def report(self, k: int) -> MetricsReport:
+        """The full report of grid point k, per-category counts included;
+        the UNKNOWN row appears only when such attacks are present."""
+        normals, *attacks = self.exist.tolist()
+        fp, *detected = self.flagged[:, k].tolist()
+        tp = sum(detected)
+        cm = ConfusionMatrix(tp, sum(attacks) - tp, fp, normals - fp)
+        cats = ATTACK_CATEGORIES if attacks[-1] else ATTACK_CATEGORIES[:-1]
+        counts = zip(cats, attacks, detected)  # stops before UNKNOWN when it is absent
+        return metrics(cm, {cat: CategoryCount(n, hits) for cat, n, hits in counts})
 
 
 def sweep(
@@ -161,11 +185,12 @@ def sweep(
     dataset: Dataset,
     grid: Sequence[tuple[float, float | None]],
 ) -> SweepResult:
-    """Evaluate one metrics report per (t_major, t_minor) grid point.
+    """Count the records flagged at each (t_major, t_minor) grid point.
 
     Records are scored once and ranked once against the sorted distinct
-    thresholds; each point is then a lookup in one cumulative histogram of
-    the ranks, so a sweep costs one ranking pass plus O(grid).
+    thresholds; one cumulative histogram of the ranks then gives every
+    point's counts as an array, and the rates are array divisions. No
+    per-point report is built until ``report(k)`` asks for one.
     """
     if not grid:
         raise EmptyGrid("threshold grid is empty")
@@ -178,13 +203,7 @@ def sweep(
     u_minor, at_minor = np.unique(t_minor, return_inverse=True)
     shape = (len(u_major) + 1, len(u_minor) + 1)
     ranks = (_rank(majc, u_major), _rank(minc, u_minor))
-    tallies = _grid_tally(dataset.labels, *ranks, shape, (at_major, at_minor))
-    points = [
-        SweepPoint(float(tm), tmm, metrics(cm, categories))
-        for (tm, tmm), (cm, categories) in zip(grid, tallies)
-    ]
-    best = max(points, key=lambda pt: pt.report.overall_success)
-    return SweepResult(points, best)
+    return SweepResult(grid, *_grid_tally(dataset.labels, *ranks, shape, (at_major, at_minor)))
 
 
 def _fmt(rate: float | None, digits: int = 4) -> str:

@@ -283,8 +283,12 @@ class FeatureProfile:
             raise ValueError("profile indices must be strictly increasing")
         if any(i < 1 or i > N_RAW_FEATURES for i in self.indices):
             raise ValueError("profile indices must be within 1..41")
-        if any(i not in self.indices for i in self.categorical_indices):
-            raise ValueError("categorical indices must be a subset of indices")
+        tokens = tuple(i for i in self.indices if i in CATEGORICAL_POSITIONS)
+        if self.categorical_indices != tokens:
+            raise ValueError(
+                f"categorical indices {self.categorical_indices} must be the indices "
+                f"at token fields, {tokens}"
+            )
 
     @property
     def p(self) -> int:

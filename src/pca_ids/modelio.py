@@ -84,8 +84,58 @@ def model_to_document(model: PcaModel) -> dict:
     }
 
 
+# JSON value kinds a model field may hold, with the word that names each.
+_NUMBER = ((int, float), "number")
+_INTEGER = ((int,), "integer")
+_BOOLEAN = ((bool,), "boolean")
+
+
+def _lookup(doc: dict, path: str):
+    value = doc
+    for key in path.split("."):
+        value = value[key]
+    return value
+
+
+def _check(path: str, value, kind: tuple[tuple[type, ...], str]):
+    """``value`` if it is a JSON value of ``kind``, else a ModelFormatError
+    naming ``path``. A bool is only a boolean, though Python counts it an int.
+    """
+    types, noun = kind
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        text = json.dumps(value, default=repr)
+        raise ModelFormatError(f"malformed model document: {path}: {text} is not a JSON {noun}")
+    return value
+
+
+def _scalar(doc: dict, path: str, kind, nullable: bool = False):
+    """The value at dotted ``path`` of ``doc``, a JSON ``kind`` (or null when
+    ``nullable``)."""
+    value = _lookup(doc, path)
+    return value if nullable and value is None else _check(path, value, kind)
+
+
+def _array(doc: dict, path: str, kind):
+    """The value at dotted ``path`` of ``doc``, nested lists whose every
+    entry is a JSON ``kind``; its shape is checked by ``verify_model``."""
+    value = _lookup(doc, path)
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        else:
+            _check(path, item, kind)
+    return value
+
+
 def model_from_document(doc: dict) -> PcaModel:
-    """Rebuild a PcaModel from a parsed document (no integrity checks)."""
+    """Rebuild a PcaModel from a parsed document (no integrity checks).
+
+    Every number must be a JSON number, every mask entry a JSON boolean and
+    every count or index a JSON integer: a string, a bool read as a number
+    or a float read as a count would silently change verdicts.
+    """
     try:
         version = doc["format_version"]
         if version != FORMAT_VERSION:
@@ -95,32 +145,30 @@ def model_from_document(doc: dict) -> PcaModel:
             )
         profile = FeatureProfile(
             doc["profile"]["name"],
-            tuple(doc["profile"]["indices"]),
-            tuple(doc["profile"]["categorical_indices"]),
+            tuple(_array(doc, "profile.indices", _INTEGER)),
+            tuple(_array(doc, "profile.categorical_indices", _INTEGER)),
         )
         encoder = CategoricalEncoder(
             {int(pos): dict(table) for pos, table in doc["encoder"].items()}
         )
         standardizer = StandardizationParams(
-            np.asarray(doc["standardizer"]["mean"], dtype=float),
-            np.asarray(doc["standardizer"]["std"], dtype=float),
-            np.asarray(doc["standardizer"]["degenerate"], dtype=bool),
+            np.asarray(_array(doc, "standardizer.mean", _NUMBER), dtype=float),
+            np.asarray(_array(doc, "standardizer.std", _NUMBER), dtype=float),
+            np.asarray(_array(doc, "standardizer.degenerate", _BOOLEAN), dtype=bool),
         )
         eigen = EigenPairs(
-            np.asarray(doc["eigen"]["values"], dtype=float),
-            np.asarray(doc["eigen"]["vectors"], dtype=float).T,
+            np.asarray(_array(doc, "eigen.values", _NUMBER), dtype=float),
+            np.asarray(_array(doc, "eigen.vectors", _NUMBER), dtype=float).T,
         )
-        selection = doc["selection"]
-        thresholds = doc["thresholds"]
-        t_minor = thresholds["t_minor"]
+        t_minor = _scalar(doc, "thresholds.t_minor", _NUMBER, nullable=True)
         model = PcaModel(
             profile=profile,
             encoder=encoder,
             standardizer=standardizer,
             eigen=eigen,
-            q=int(selection["q"]),
-            r=int(selection["r"]),
-            t_major=float(thresholds["t_major"]),
+            q=_scalar(doc, "selection.q", _INTEGER),
+            r=_scalar(doc, "selection.r", _INTEGER),
+            t_major=float(_scalar(doc, "thresholds.t_major", _NUMBER)),
             t_minor=None if t_minor is None else float(t_minor),
             metadata=dict(doc.get("provenance", {})),
         )

@@ -280,14 +280,21 @@ def step1_sweep(kdd_dataset):
     return sweep(model, kdd_dataset, grid)
 
 
-def _qualifying(points, recall_floor, success_floor):
+def _qualifying(result, recall_floor, success_floor):
+    """Indices of the grid points that reach both floors; a NaN recall reaches none."""
     return [
-        pt
-        for pt in points
-        if pt.report.recall_anomaly is not None
-        and pt.report.recall_anomaly >= recall_floor
-        and pt.report.overall_success >= success_floor
+        k
+        for k, (recall, success) in enumerate(zip(result.recall, result.success))
+        if recall >= recall_floor and success >= success_floor
     ]
+
+
+def _best_report(result, qualifying):
+    """(index, report) of the qualifying point with the highest success; first on ties."""
+    if not qualifying:
+        return None, None
+    k = max(qualifying, key=result.success.__getitem__)
+    return k, result.report(k)
 
 
 def test_dataset_fingerprint(kdd_dataset):
@@ -308,11 +315,11 @@ def test_dataset_fingerprint(kdd_dataset):
 
 
 def test_six_feature_operating_point(step1_sweep):
-    qualifying = _qualifying(step1_sweep.points, RECALL_FLOOR_STEP1, SUCCESS_FLOOR_STEP1)
-    best = max(qualifying, key=lambda pt: pt.report.overall_success, default=None)
+    qualifying = _qualifying(step1_sweep, RECALL_FLOOR_STEP1, SUCCESS_FLOOR_STEP1)
+    k, best = _best_report(step1_sweep, qualifying)
     detail = (
-        f"best recall {best.report.recall_anomaly:.4f}, "
-        f"success {best.report.overall_success:.4f} at t_major {best.t_major:.4g}"
+        f"best recall {best.recall_anomaly:.4f}, "
+        f"success {best.overall_success:.4f} at t_major {step1_sweep.grid[k][0]:.4g}"
         if best
         else "no qualifying threshold in sweep"
     )
@@ -327,11 +334,11 @@ def test_ten_feature_operating_point(kdd_dataset):
     minor_grid = np.unique(np.quantile(minc, np.linspace(0.50, 0.9995, 60)))
     grid = [(float(tm), float(tmm)) for tm in major_grid for tmm in minor_grid]
     result = sweep(model, kdd_dataset, grid)
-    qualifying = _qualifying(result.points, RECALL_FLOOR_STEP2, SUCCESS_FLOOR_STEP2)
-    best = max(qualifying, key=lambda pt: pt.report.overall_success, default=None)
+    qualifying = _qualifying(result, RECALL_FLOOR_STEP2, SUCCESS_FLOOR_STEP2)
+    _, best = _best_report(result, qualifying)
     detail = (
-        f"best recall {best.report.recall_anomaly:.4f}, "
-        f"success {best.report.overall_success:.4f}"
+        f"best recall {best.recall_anomaly:.4f}, "
+        f"success {best.overall_success:.4f}"
         if best
         else "no qualifying threshold pair in sweep"
     )
@@ -340,12 +347,12 @@ def test_ten_feature_operating_point(kdd_dataset):
 
 
 def test_per_category_detection_pattern(step1_sweep):
-    qualifying = _qualifying(step1_sweep.points, RECALL_FLOOR_STEP1, SUCCESS_FLOOR_STEP1)
+    qualifying = _qualifying(step1_sweep, RECALL_FLOOR_STEP1, SUCCESS_FLOOR_STEP1)
     if not qualifying:
         note(False, "per-category detection pattern", "no qualifying operating point")
         pytest.fail("cannot check categories without a qualifying operating point")
-    pt = max(qualifying, key=lambda p: p.report.overall_success)
-    cats = pt.report.categories
+    _, best = _best_report(step1_sweep, qualifying)
+    cats = best.categories
     rates = {cat: cats[cat].rate for cat in EXPECTED_EXIST}
     ok = (
         rates[AttackCategory.DOS] >= HIGH_CATEGORY_FLOOR

@@ -511,7 +511,29 @@ class TestSweep:
             capsys,
         )
         assert code == 0, err
-        assert out.splitlines()[-1].endswith(" recall=n/a")
+        *rows, best = out.splitlines()[1:]
+        assert rows and all(row.split()[2] == "nan" for row in rows)
+        assert best.endswith(" recall=n/a")
+
+    def test_only_attacks_in_data(self, trained, corpus_lines, tmp_path, capsys):
+        attacks = [line for line in corpus_lines if ",normal" not in line][:200]
+        path = tmp_path / "attack.txt"
+        path.write_text("\n".join(attacks) + "\n")
+        code, out, err = run_cli(
+            ["sweep", "--model", trained, "--data", str(path), "--tm-grid", "0:1e9:3"],
+            capsys,
+        )
+        assert code == 0, err
+        _, *rows, best = out.splitlines()
+        table = [row.split() for row in rows]
+        # with no normals, FPR is undefined and success equals recall
+        assert [(fpr, recall == success) for _, _, recall, fpr, success in table] == [
+            ("nan", True)
+        ] * 3
+        recalls = [float(recall) for _, _, recall, _, _ in table]
+        assert recalls[0] == 1.0 and recalls == sorted(recalls, reverse=True)
+        assert best.startswith("best: t_major=0 ")
+        assert best.endswith(" success=1.0000 recall=1.0000")
 
     def test_minor_grid_without_minor_components_is_usage_error(
         self, corpus_file, tmp_path, capsys
@@ -660,6 +682,56 @@ class TestInspect:
         code, _, err = run_cli(["classify", "--model", str(bad), "--input", corpus_file], capsys)
         assert code == 1
         assert finding in err
+
+    @pytest.mark.parametrize(
+        "edit, finding",
+        [
+            pytest.param(
+                lambda doc: doc["standardizer"].update(degenerate=["no"] * 6),
+                'standardizer.degenerate: "no" is not a JSON boolean',
+                id="mask-strings",
+            ),
+            pytest.param(
+                lambda doc: doc["standardizer"]["degenerate"].__setitem__(5, 7),
+                "standardizer.degenerate: 7 is not a JSON boolean",
+                id="mask-integer",
+            ),
+            pytest.param(
+                lambda doc: doc["selection"].update(q=2.9),
+                "selection.q: 2.9 is not a JSON integer",
+                id="q-float",
+            ),
+            pytest.param(
+                lambda doc: doc["thresholds"].update(t_major=True),
+                "thresholds.t_major: true is not a JSON number",
+                id="t_major-bool",
+            ),
+            pytest.param(
+                lambda doc: doc["standardizer"]["mean"].__setitem__(0, "1.5"),
+                'standardizer.mean: "1.5" is not a JSON number',
+                id="mean-string",
+            ),
+            pytest.param(
+                lambda doc: (
+                    doc["profile"].update(categorical_indices=[2, 3]),
+                    doc["encoder"].pop("4"),
+                ),
+                "categorical indices (2, 3) must be the indices at token fields, (2, 3, 4)",
+                id="token-field-numeric",
+            ),
+        ],
+    )
+    def test_wrongly_typed_model_is_one_error_line(
+        self, trained, corpus_file, tmp_path, capsys, edit, finding
+    ):
+        doc = json.loads(Path(trained).read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        expected = f"error: malformed model document: {finding}\n"
+        for argv in (["inspect"], ["classify", "--input", corpus_file]):
+            code, out, err = run_cli([*argv, "--model", str(bad)], capsys)
+            assert (code, out, err) == (1, "", expected)
 
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["inspect", "--model", str(tmp_path / "x.json")], capsys)

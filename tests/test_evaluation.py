@@ -38,7 +38,7 @@ def sweep_scores(majc, minc, labels, grid, r):
 
 def tally(preds, labels):
     """The report of boolean predictions: a predicted attack scores over the threshold."""
-    return sweep_scores(preds, [0.0] * len(preds), labels, [(0.5, None)], 0).best.report
+    return sweep_scores(preds, [0.0] * len(preds), labels, [(0.5, None)], 0).report(0)
 
 
 class TestConfusion:
@@ -132,20 +132,21 @@ class TestEvaluateAndSweep:
             corpus_dataset,
             [(basic6_model.t_major, basic6_model.t_minor)],
         )
-        assert result.best.report.cm == report.cm
-        assert result.best.report.overall_success == report.overall_success
+        assert result.best == 0
+        assert result.report(0).cm == report.cm
+        assert result.report(0).overall_success == report.overall_success
 
     def test_infinite_thresholds_flag_nothing(self, basic6_model, corpus_dataset):
         result = sweep(basic6_model, corpus_dataset, [(1e18, 1e18)])
-        report = result.best.report
+        report = result.report(result.best)
         assert report.recall_anomaly == 0.0
         assert report.fpr_anomaly == 0.0
 
     def test_sweep_monotone_in_major_threshold(self, basic6_model, corpus_dataset):
         grid = [(t, None) for t in np.linspace(0.0, 50.0, 25)]
         result = sweep(basic6_model, corpus_dataset, grid)
-        tps = [pt.report.cm.tp for pt in result.points]
-        fps = [pt.report.cm.fp for pt in result.points]
+        tps = [result.report(k).cm.tp for k in range(len(grid))]
+        fps = [result.report(k).cm.fp for k in range(len(grid))]
         assert all(a >= b for a, b in zip(tps, tps[1:]))
         assert all(a >= b for a, b in zip(fps, fps[1:]))
 
@@ -237,14 +238,32 @@ class TestTallyMatchesOracle:
         majc, minc, labels, grid, r = inputs
         result = sweep_scores(majc, minc, labels, grid, r)
         expected = loop_sweep_counts(majc, minc, labels, grid, r)
-        got = [as_oracle(point.report) for point in result.points]
+        got = [as_oracle(result.report(k)) for k in range(len(grid))]
         assert got == expected
         assert [list(cats) for _, cats in got] == [list(cats) for _, cats in expected]
-        assert all(pt.t_minor is tmm for pt, (_, tmm) in zip(result.points, grid))
-        t_major = [pt.t_major for pt in result.points]
-        assert np.array_equal(t_major, [tm for tm, _ in grid], equal_nan=True)
+        assert result.grid is grid
         successes = [(cm[0] + cm[3]) / len(labels) for cm, _ in expected]
-        assert result.best is result.points[successes.index(max(successes))]
+        assert result.best == successes.index(max(successes))
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=sweep_inputs())
+    def test_columns_equal_each_points_report(self, inputs):
+        majc, minc, labels, grid, r = inputs
+        result = sweep_scores(majc, minc, labels, grid, r)
+        reports = [result.report(k) for k in range(len(grid))]
+        columns = {
+            "recall_anomaly": result.recall,
+            "fpr_anomaly": result.fpr,
+            "overall_success": result.success,
+        }
+        for name, column in columns.items():
+            assert len(column) == len(grid)
+            for value, report in zip(column, reports):
+                field = getattr(report, name)
+                assert type(value) is float
+                assert math.isnan(value) if field is None else value == field
+        successes = [report.overall_success for report in reports]
+        assert result.best == successes.index(max(successes))
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -460,3 +460,11 @@ class TestFeatureProfile:
     def test_categoricals_must_be_subset(self):
         with pytest.raises(ValueError):
             FeatureProfile("bad", (1, 2), (4,))
+
+    def test_categoricals_must_be_every_token_field_present(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) must be .* \(2, 3, 4\)"):
+            FeatureProfile("bad", (1, 2, 3, 4), (2, 3))
+        with pytest.raises(ValueError):
+            FeatureProfile("bad", (1, 5), (1,))
+        assert FeatureProfile("numeric", (1, 5), ()).categorical_indices == ()
+        assert FeatureProfile("one_token", (3, 5), (3,)).p == 2

@@ -170,6 +170,64 @@ class TestValidation:
         with pytest.raises(ModelIntegrityError, match=finding):
             load_model(str(file))
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            pytest.param(
+                lambda doc: doc["standardizer"].update(degenerate=["no"] * 6),
+                "standardizer.degenerate",
+                id="mask-strings",
+            ),
+            pytest.param(
+                lambda doc: doc["standardizer"]["degenerate"].__setitem__(5, 7),
+                "standardizer.degenerate",
+                id="mask-integer",
+            ),
+            pytest.param(lambda doc: doc["selection"].update(q=2.9), "selection.q", id="q-float"),
+            pytest.param(lambda doc: doc["selection"].update(r=True), "selection.r", id="r-bool"),
+            pytest.param(
+                lambda doc: doc["thresholds"].update(t_major=True),
+                "thresholds.t_major",
+                id="t_major-bool",
+            ),
+            pytest.param(
+                lambda doc: doc["standardizer"]["mean"].__setitem__(0, "1.5"),
+                "standardizer.mean",
+                id="mean-string",
+            ),
+            pytest.param(
+                lambda doc: doc["eigen"]["vectors"][1].__setitem__(2, None),
+                "eigen.vectors",
+                id="eigenvector-null",
+            ),
+            pytest.param(
+                lambda doc: doc["profile"].update(indices=[1.0, 2, 3, 4, 5, 6]),
+                "profile.indices",
+                id="index-float",
+            ),
+        ],
+    )
+    def test_wrongly_typed_value_names_its_field(self, model_path, edit, field):
+        doc = json.loads(model_path.read_text())
+        edit(doc)
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"^malformed model document: {field}: "):
+            load_model(str(model_path), verify=False)
+
+    def test_integer_threshold_is_a_number(self, model_path):
+        doc = json.loads(model_path.read_text())
+        doc["thresholds"]["t_major"] = 7
+        model_path.write_text(json.dumps(doc))
+        assert load_model(str(model_path)).t_major == 7.0
+
+    def test_token_field_declared_numeric_is_refused(self, model_path):
+        doc = json.loads(model_path.read_text())
+        doc["profile"]["categorical_indices"] = [2, 3]
+        del doc["encoder"]["4"]
+        model_path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="categorical indices"):
+            load_model(str(model_path), verify=False)
+
     def test_non_finite_value_not_written(self, basic6_model, tmp_path):
         broken = dataclasses.replace(basic6_model, t_major=float("nan"))
         with pytest.raises(ValueError):
