@@ -199,7 +199,9 @@ def cmd_classify(args) -> int:
     else:
         source = sys.stdin
         if isinstance(source, io.TextIOWrapper):
-            source.reconfigure(encoding="utf-8", errors=DECODE_ERRORS)
+            # Universal newlines, as open_text reads files; a line ending in a
+            # bare \r waits for the next byte, to see whether \n follows.
+            source.reconfigure(encoding="utf-8", errors=DECODE_ERRORS, newline=None)
         # A live feed must see each verdict as it is made, not at EOF.
         if isinstance(sys.stdout, io.TextIOWrapper):
             sys.stdout.reconfigure(line_buffering=True)

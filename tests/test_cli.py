@@ -475,6 +475,57 @@ class TestClassify:
         assert sum(result.unknown_token for result in results) == 2
         assert out.count(" unknown_token=true") == 2
 
+    def test_to_line_rebound_on_the_class_is_what_both_paths_print(
+        self, trained, corpus_lines, tmp_path, capsys, monkeypatch
+    ):
+        # perfbench's tracer wraps Verdict.to_line on the class, as done here.
+        original = detector.Verdict.to_line
+        monkeypatch.setattr(detector.Verdict, "to_line", lambda self: "seen " + original(self))
+        path = tmp_path / "three.txt"
+        path.write_text("\n".join(corpus_lines[:3]) + "\n")
+        from_file = run_cli(["classify", "--model", trained, "--input", str(path)], capsys)
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        from_stdin = run_cli(["classify", "--model", trained], capsys)
+        assert from_file == from_stdin
+        lines = from_file[1].splitlines()
+        assert len(lines) == 3
+        assert all(line.startswith("seen verdict=") for line in lines), lines
+
+    @staticmethod
+    def cr_input(kind, lines):
+        if kind == "cr":
+            return "\r".join(lines) + "\r"
+        if kind == "crlf":
+            return "\r\n".join(lines) + "\r\n"
+        fields = lines[1].split(",")
+        fields[5] = fields[5][:1] + "\r" + fields[5][1:]  # inside dst_bytes
+        return "\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n"
+
+    @pytest.mark.parametrize("kind, verdicts, errors", [("cr", 4, 0), ("crlf", 4, 0), ("mid", 3, 2)])
+    def test_stdin_splits_lines_as_input_file_does(
+        self, trained, corpus_lines, tmp_path, kind, verdicts, errors
+    ):
+        # A real stdin: an in-process TextIOWrapper already has universal newlines.
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(self.cr_input(kind, corpus_lines[:4]).encode())
+        argv = [sys.executable, "-m", "pca_ids.cli", "classify", "--model", trained]
+
+        def run(extra, stdin):
+            proc = subprocess.run(
+                argv + extra, input=stdin, capture_output=True, env=subprocess_env(), timeout=60
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        from_file = run(["--input", str(path)], b"")
+        from_stdin = run([], path.read_bytes())
+        assert from_stdin == from_file
+        code, out, err = from_file
+        assert code == 0, err
+        kinds = [line.split(b"=")[0] for line in out.splitlines()]
+        assert (kinds.count(b"verdict"), kinds.count(b"error")) == (verdicts, errors)
+        assert err.rstrip().endswith(b"errors=%d" % errors)
+
 
 class TestSweep:
     def test_single_point_matches_evaluate(self, trained, corpus_file, capsys):

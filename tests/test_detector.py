@@ -10,9 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pca_ids.detector import (
+    StreamVerdict,
     Trigger,
+    Verdict,
     _score_sums,
     classify,
+    classify_file,
     classify_stream,
     score_records,
 )
@@ -196,7 +199,12 @@ class TestScoreRecords:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_batch_scores_equal_single_scores(self, preset_model, data):
+        # A p-vector with q, r < 8 is summed in plain Python, anything else by
+        # numpy; every (q, r) split must give the matrix path's floats, and
+        # traffic10 (p=10) reaches the 8-term boundary from both sides.
         model = preset_model
+        q = data.draw(st.integers(0, model.p), label="q")
+        r = data.draw(st.integers(0, model.p - q), label="r")
         X = data.draw(
             hnp.arrays(
                 float,
@@ -208,11 +216,11 @@ class TestScoreRecords:
         )
         floored = model.eigen.floored_values
         y = project(standardize(X, model.standardizer), model.eigen)
-        batch = _score_sums(y, floored, model.q, model.r)
+        batch = _score_sums(y, floored, q, r)
         full, _ = _score_sums(y, floored, model.p, 0)  # sums past 8 terms on traffic10
         for i, row in enumerate(X):
             y1 = project(standardize(row, model.standardizer), model.eigen)
-            assert _score_sums(y1, floored, model.q, model.r) == (batch[0][i], batch[1][i])
+            assert _score_sums(y1, floored, q, r) == (batch[0][i], batch[1][i])
             assert _score_sums(y1, floored, model.p, 0)[0] == full[i]
 
     @settings(max_examples=60, deadline=None)
@@ -345,3 +353,30 @@ class TestClassifyStream:
         line = verdict.to_line()
         assert line.startswith(("verdict=normal ", "verdict=attack "))
         assert " majc=" in line and " minc=" in line and " trigger=" in line
+
+
+class TestVerdictTypes:
+    def test_field_names_order_and_defaults(self):
+        assert Verdict._fields == (
+            "is_attack",
+            "major_score",
+            "minor_score",
+            "trigger",
+            "unknown_token",
+        )
+        assert StreamVerdict._fields == ("line_no", "verdict", "error")
+        assert Verdict(True, 2.0, 0.0, Trigger.MAJOR).unknown_token is False
+        assert StreamVerdict(5) == (5, None, None)
+
+    def test_error_item_has_no_verdict(self):
+        item = StreamVerdict(3, error="line 3: bad")
+        assert item.verdict is None
+        assert (item.line_no, item.error) == (3, "line 3: bad")
+
+    def test_every_path_builds_the_declared_types(self, basic6_model, corpus_lines):
+        lines = [corpus_lines[0], "bogus,row", corpus_lines[1]]
+        for classify_lines in (classify_stream, classify_file):
+            items = list(classify_lines(basic6_model, lines))
+            assert [type(item) for item in items] == [StreamVerdict] * 3
+            assert [type(item.verdict) for item in items] == [Verdict, type(None), Verdict]
+            assert [item.error is None for item in items] == [True, False, True]
