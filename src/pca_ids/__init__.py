@@ -9,13 +9,11 @@ from .kdd import (
     TRAFFIC10,
     PROFILES,
     AttackCategory,
-    CategoricalEncoder,
     ConnectionRecord,
     Dataset,
     EmptyDatasetError,
     FeatureProfile,
     FeatureVector,
-    Label,
     MalformedRow,
     build_encoder,
     categorize_attack,

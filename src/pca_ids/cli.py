@@ -279,8 +279,7 @@ def cmd_inspect(args) -> int:
     t_minor = "n/a" if model.t_minor is None else repr(model.t_minor)
     print(f"thresholds: t_major={model.t_major!r} t_minor={t_minor}")
     sizes = ", ".join(
-        f"pos {pos}: {model.encoder.size(pos)} tokens"
-        for pos in model.encoder.positions()
+        f"pos {pos}: {len(table)} tokens" for pos, table in sorted(model.encoder.items())
     )
     print(f"encoder: {sizes}")
 

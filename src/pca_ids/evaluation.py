@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .detector import score_records
-from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset, Label
+from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset
 from .trainer import PcaModel
 
-# A record's class in the tally is its label's category: NORMAL first, then
+# A record's class in the tally is its label: NORMAL first, then
 # the attack categories with UNKNOWN last.
 _CLASS_OF = {cat: code for code, cat in enumerate((AttackCategory.NORMAL, *ATTACK_CATEGORIES))}
 
@@ -70,7 +70,7 @@ def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _grid_tally(
-    labels: Sequence[Label], k_major, k_minor, shape: tuple[int, int], at
+    labels: Sequence[AttackCategory], k_major, k_minor, shape: tuple[int, int], at
 ) -> tuple[np.ndarray, np.ndarray]:
     """(exist, flagged): the records of each class, and those flagged at
     each grid point (j, l) of ``at`` as a classes x points array.
@@ -79,7 +79,7 @@ def _grid_tally(
     length in ``shape``; a record is flagged unless k_major <= j and
     k_minor <= l. Classes are numbered as in ``_CLASS_OF``.
     """
-    codes = np.fromiter((_CLASS_OF[label.category] for label in labels), np.intp, len(labels))
+    codes = np.fromiter((_CLASS_OF[label] for label in labels), np.intp, len(labels))
     size = (len(_CLASS_OF), *shape)
     flat = np.ravel_multi_index((codes, k_major, k_minor), size)
     unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)

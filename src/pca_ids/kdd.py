@@ -21,8 +21,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
-from operator import itemgetter
+from functools import cached_property
+from math import inf
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,12 +37,6 @@ MAX_ERROR_DETAIL = 10
 
 # 1-based positions of the token-valued features in the 41-column layout.
 CATEGORICAL_POSITIONS = (2, 3, 4)
-
-# The token fields and the 38 numeric fields of a 41-field list.
-_token_fields = itemgetter(*(p - 1 for p in CATEGORICAL_POSITIONS))
-_numeric_fields = itemgetter(
-    *(p - 1 for p in range(1, N_RAW_FEATURES + 1) if p not in CATEGORICAL_POSITIONS)
-)
 
 FEATURE_NAMES = {
     1: "duration",
@@ -78,6 +72,10 @@ class AttackCategory(Enum):
     U2R = "U2R"
     UNKNOWN = "UNKNOWN"
 
+    @property
+    def is_attack(self) -> bool:
+        return self is not AttackCategory.NORMAL
+
 
 ATTACK_CATEGORIES = (
     AttackCategory.DOS,
@@ -105,17 +103,9 @@ _TAXONOMY = {
 }
 
 _NAME_TO_CATEGORY = {
-    name: category for category, names in _TAXONOMY.items() for name in names
+    "normal": AttackCategory.NORMAL,
+    **{name: category for category, names in _TAXONOMY.items() for name in names},
 }
-
-
-@dataclass(frozen=True)
-class Label:
-    """Ground-truth class of one record."""
-
-    is_attack: bool
-    category: AttackCategory
-    raw_name: str
 
 
 def normalize_label(raw_name: str) -> str:
@@ -123,18 +113,13 @@ def normalize_label(raw_name: str) -> str:
     return raw_name.strip().rstrip(".")
 
 
-def categorize_attack(raw_name: str) -> Label:
-    """Map a label token to the four-category attack taxonomy.
+def categorize_attack(raw_name: str) -> AttackCategory:
+    """Map a label token to its category in the four-category attack taxonomy.
 
-    "normal" maps to the NORMAL category; the 22 standard KDD99 attack
-    names map to DOS/PROBE/R2L/U2R; anything else is still an attack but
-    lands in UNKNOWN.
+    "normal" maps to NORMAL; the 22 standard KDD99 attack names map to
+    DOS/PROBE/R2L/U2R; anything else is still an attack but lands in UNKNOWN.
     """
-    name = normalize_label(raw_name)
-    if name.lower() == "normal":
-        return Label(False, AttackCategory.NORMAL, name)
-    category = _NAME_TO_CATEGORY.get(name.lower(), AttackCategory.UNKNOWN)
-    return Label(True, category, name)
+    return _NAME_TO_CATEGORY.get(normalize_label(raw_name).lower(), AttackCategory.UNKNOWN)
 
 
 class ConnectionRecord(NamedTuple):
@@ -226,17 +211,7 @@ def _parse_fields(line: str, line_no: int, allow_unlabeled: bool) -> ConnectionR
         raise MalformedRow(f"expected 42 or 43 fields, got {n}", line_no)
 
     features = fields[:N_RAW_FEATURES]
-    # One pass over all numeric fields: every number >= 0 and a finite sum
-    # means every number is finite. A line that fails this (or overflows
-    # the sum with finite values) goes to the per-field check, which alone
-    # decides and words the rejection.
-    try:
-        numbers = list(map(float, _numeric_fields(features)))
-        valid = all(_token_fields(features)) and min(numbers) >= 0.0 and isfinite(sum(numbers))
-    except ValueError:
-        valid = False
-    if not valid:
-        _check_fields(features, line_no)
+    _check_fields(features, line_no)
     return ConnectionRecord(tuple(features), label, difficulty)
 
 
@@ -253,7 +228,7 @@ def _check_fields(features: list[str], line_no: int) -> None:
             raise MalformedRow(
                 f"non-numeric value {value!r} at position {position}", line_no
             )
-        if not isfinite(number) or number < 0:
+        if not 0.0 <= number < inf:  # NaN compares false
             raise MalformedRow(
                 f"numeric field at position {position} must be finite and >= 0, "
                 f"got {value!r}",
@@ -276,19 +251,18 @@ class FeatureProfile:
 
     name: str
     indices: tuple[int, ...]
-    categorical_indices: tuple[int, ...]
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("profile indices must be strictly increasing")
         if any(i < 1 or i > N_RAW_FEATURES for i in self.indices):
             raise ValueError("profile indices must be within 1..41")
-        tokens = tuple(i for i in self.indices if i in CATEGORICAL_POSITIONS)
-        if self.categorical_indices != tokens:
-            raise ValueError(
-                f"categorical indices {self.categorical_indices} must be the indices "
-                f"at token fields, {tokens}"
-            )
+
+    # Cached, not computed per access: the n=1 path reads it on every record.
+    @cached_property
+    def categorical_indices(self) -> tuple[int, ...]:
+        """The indices at token fields, the columns that take an encoder code."""
+        return tuple(i for i in self.indices if i in CATEGORICAL_POSITIONS)
 
     @property
     def p(self) -> int:
@@ -298,10 +272,8 @@ class FeatureProfile:
         return [FEATURE_NAMES.get(i, f"f{i}") for i in self.indices]
 
 
-BASIC6 = FeatureProfile("basic6", (1, 2, 3, 4, 5, 6), CATEGORICAL_POSITIONS)
-TRAFFIC10 = FeatureProfile(
-    "traffic10", (1, 2, 3, 4, 5, 6, 23, 24, 32, 33), CATEGORICAL_POSITIONS
-)
+BASIC6 = FeatureProfile("basic6", (1, 2, 3, 4, 5, 6))
+TRAFFIC10 = FeatureProfile("traffic10", (1, 2, 3, 4, 5, 6, 23, 24, 32, 33))
 PROFILES = {BASIC6.name: BASIC6, TRAFFIC10.name: TRAFFIC10}
 
 
@@ -310,7 +282,7 @@ class Dataset:
     """Parsed records with labels plus parse bookkeeping."""
 
     records: list[ConnectionRecord]
-    labels: list[Label]
+    labels: list[AttackCategory]
     source: str
     malformed_count: int = 0
     malformed_lines: list[tuple[int, str]] = field(default_factory=list)
@@ -327,7 +299,7 @@ class Dataset:
         return len(self.labels) - self.n_normal
 
     def category_counts(self) -> dict[AttackCategory, int]:
-        counts = Counter(lab.category for lab in self.labels)
+        counts = Counter(self.labels)
         return {cat: counts.get(cat, 0) for cat in ATTACK_CATEGORIES}
 
     def normal_records(self) -> list[ConnectionRecord]:
@@ -356,9 +328,8 @@ def load_dataset(path: str) -> Dataset:
         EmptyDatasetError: no valid rows at all.
     """
     records: list[ConnectionRecord] = []
-    labels: list[Label] = []
-    # Label is frozen, so records with the same label string share one.
-    label_of: dict[str, Label] = {}
+    labels: list[AttackCategory] = []
+    label_of: dict[str, AttackCategory] = {}
     malformed = 0
     detail: list[tuple[int, str]] = []
 
@@ -385,29 +356,17 @@ def load_dataset(path: str) -> Dataset:
     return Dataset(records, labels, str(path), malformed, detail)
 
 
-@dataclass(frozen=True)
-class CategoricalEncoder:
-    """Token-to-integer tables for the categorical features of a profile.
+def build_encoder(
+    dataset: Dataset | Sequence[ConnectionRecord],
+    profile: FeatureProfile,
+) -> dict[int, dict[str, int]]:
+    """The encoder: a token-to-code table per token field of the profile,
+    keyed by its 1-based position, from observed training records.
 
     Codes are dense 0..K-1 integers assigned in sorted token order, so a
     rebuild over the same data always yields the same mapping. Unknown
     tokens map to code K, one past the largest.
     """
-
-    tables: dict[int, dict[str, int]]
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.tables))
-
-    def size(self, position: int) -> int:
-        return len(self.tables[position])
-
-
-def build_encoder(
-    dataset: Dataset | Sequence[ConnectionRecord],
-    profile: FeatureProfile,
-) -> CategoricalEncoder:
-    """Build deterministic token tables from observed training records."""
     records = dataset.records if isinstance(dataset, Dataset) else dataset
     if not records:
         raise EmptyDatasetError("cannot build an encoder from zero records")
@@ -416,7 +375,7 @@ def build_encoder(
     for position in profile.categorical_indices:
         tokens = {rec.feature(position) for rec in records}
         tables[position] = {tok: code for code, tok in enumerate(sorted(tokens))}
-    return CategoricalEncoder(tables)
+    return tables
 
 
 class FeatureVector(NamedTuple):
@@ -429,7 +388,7 @@ class FeatureVector(NamedTuple):
 def extract_features(
     record: ConnectionRecord,
     profile: FeatureProfile,
-    encoder: CategoricalEncoder,
+    encoder: dict[int, dict[str, int]],
 ) -> FeatureVector:
     """Encode a record into its profile columns as floats, in index order.
 
@@ -437,12 +396,11 @@ def extract_features(
     """
     raw = record.raw_features
     categorical = profile.categorical_indices
-    tables = encoder.tables
     values = []
     unknown = False
     for position in profile.indices:
         if position in categorical:
-            table = tables[position]
+            table = encoder[position]
             code = table.get(raw[position - 1])
             if code is None:  # unseen: code K, one past the largest
                 code, unknown = len(table), True
@@ -455,7 +413,7 @@ def extract_features(
 def encode_matrix(
     records: Sequence[ConnectionRecord],
     profile: FeatureProfile,
-    encoder: CategoricalEncoder,
+    encoder: dict[int, dict[str, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many records; returns (n x p matrix, unknown-token flags)."""
     # Filled in place: a list of rows handed to np.array would hold every

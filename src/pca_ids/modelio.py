@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .kdd import CategoricalEncoder, FeatureProfile
+from .kdd import FeatureProfile
 from .mvstats import EigenPairs, StandardizationParams
 from .trainer import PcaModel
 
@@ -41,10 +41,15 @@ class ModelIntegrityError(ValueError):
 
 def _created_at() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
+    if epoch is None:
+        return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
+    try:
         moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        moment = datetime.now(tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as err:
+        raise ValueError(
+            f"SOURCE_DATE_EPOCH must be a whole number of seconds since 1970 "
+            f"that this platform can date, got {epoch!r}"
+        ) from err
     return moment.isoformat(timespec="seconds")
 
 
@@ -61,7 +66,7 @@ def model_to_document(model: PcaModel) -> dict:
         },
         "encoder": {
             str(position): dict(sorted(table.items()))
-            for position, table in model.encoder.tables.items()
+            for position, table in model.encoder.items()
         },
         "standardizer": {
             "mean": model.standardizer.mean.tolist(),
@@ -88,6 +93,7 @@ def model_to_document(model: PcaModel) -> dict:
 _NUMBER = ((int, float), "number")
 _INTEGER = ((int,), "integer")
 _BOOLEAN = ((bool,), "boolean")
+_OBJECT = ((dict,), "object")
 
 
 def _lookup(doc: dict, path: str):
@@ -143,14 +149,22 @@ def model_from_document(doc: dict) -> PcaModel:
                 f"model format version {version} is not supported "
                 f"(this build reads version {FORMAT_VERSION})"
             )
-        profile = FeatureProfile(
-            doc["profile"]["name"],
-            tuple(_array(doc, "profile.indices", _INTEGER)),
-            tuple(_array(doc, "profile.categorical_indices", _INTEGER)),
-        )
-        encoder = CategoricalEncoder(
-            {int(pos): dict(table) for pos, table in doc["encoder"].items()}
-        )
+        name = doc["profile"]["name"]
+        indices = tuple(_array(doc, "profile.indices", _INTEGER))
+        declared = tuple(_array(doc, "profile.categorical_indices", _INTEGER))
+        profile = FeatureProfile(name, indices)
+        if declared != profile.categorical_indices:
+            raise ModelFormatError(
+                f"malformed model document: categorical indices {declared} must be "
+                f"the indices at token fields, {profile.categorical_indices}"
+            )
+        encoder = {}
+        for pos, table in _check("encoder", doc["encoder"], _OBJECT).items():
+            path = f"encoder.{pos}"
+            encoder[int(pos)] = {
+                token: _check(path, code, _INTEGER)
+                for token, code in _check(path, table, _OBJECT).items()
+            }
         standardizer = StandardizationParams(
             np.asarray(_array(doc, "standardizer.mean", _NUMBER), dtype=float),
             np.asarray(_array(doc, "standardizer.std", _NUMBER), dtype=float),
@@ -235,11 +249,10 @@ def verify_model(model: PcaModel) -> list[str]:
             issues.append(f"non-finite value in {name}")
     if np.any((std.std <= 0) & ~std.degenerate):
         issues.append("std is not positive on a feature not marked degenerate")
-    if set(model.encoder.tables) != set(model.profile.categorical_indices):
+    if set(model.encoder) != set(model.profile.categorical_indices):
         issues.append("encoder positions do not match the profile's categorical features")
-    for position, table in model.encoder.tables.items():
-        codes = sorted(code for code in table.values() if isinstance(code, int))
-        if codes != list(range(len(table))):
+    for position, table in model.encoder.items():
+        if sorted(table.values()) != list(range(len(table))):
             issues.append(f"encoder codes at position {position} are not dense 0..K-1")
 
     eigen_sum, orthonormality = residuals

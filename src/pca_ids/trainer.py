@@ -12,7 +12,6 @@ import numpy as np
 
 from . import detector
 from .kdd import (
-    CategoricalEncoder,
     Dataset,
     EmptyDatasetError,
     FeatureProfile,
@@ -78,7 +77,7 @@ class PcaModel:
     """Everything the online phase needs, immutable once fitted."""
 
     profile: FeatureProfile
-    encoder: CategoricalEncoder
+    encoder: dict[int, dict[str, int]]  # token tables, from kdd.build_encoder
     standardizer: StandardizationParams
     eigen: EigenPairs
     q: int

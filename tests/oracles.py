@@ -120,7 +120,7 @@ def loop_sweep_counts(majc, minc, labels, grid, r: int) -> list:
             )
             if label.is_attack:
                 tp, fn = (tp + 1, fn) if flagged else (tp, fn + 1)
-                row = categories.setdefault(label.category.value, [0, 0])
+                row = categories.setdefault(label.value, [0, 0])
                 row[0] += 1
                 row[1] += int(flagged)
             else:

@@ -770,6 +770,21 @@ class TestInspect:
                 "categorical indices (2, 3) must be the indices at token fields, (2, 3, 4)",
                 id="token-field-numeric",
             ),
+            pytest.param(
+                lambda doc: doc["encoder"].update({"2": {"icmp": False, "tcp": True, "udp": 2}}),
+                "encoder.2: false is not a JSON integer",
+                id="codes-bool",
+            ),
+            pytest.param(
+                lambda doc: doc["encoder"].update({"2": [["icmp", 0], ["tcp", 1], ["udp", 2]]}),
+                'encoder.2: [["icmp", 0], ["tcp", 1], ["udp", 2]] is not a JSON object',
+                id="table-pairs",
+            ),
+            pytest.param(
+                lambda doc: doc.update(encoder=[]),
+                "encoder: [] is not a JSON object",
+                id="encoder-list",
+            ),
         ],
     )
     def test_wrongly_typed_model_is_one_error_line(
@@ -809,3 +824,18 @@ class TestDeterminism:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("epoch", ["", "abc", "1.5e9", "99999999999999999"])
+    def test_malformed_source_date_epoch_is_named(
+        self, corpus_file, tmp_path, capsys, monkeypatch, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            ["train", "--data", corpus_file, "--preset", "step1", "--out", str(path)], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: SOURCE_DATE_EPOCH ") and err.count("\n") == 1
+        assert repr(epoch) in err
+        assert not path.exists()

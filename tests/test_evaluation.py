@@ -212,10 +212,8 @@ def sweep_inputs(draw):
     """Random scores, labels (UNKNOWN attacks or not) and an unsorted grid."""
     n = draw(st.integers(1, 30))
     names = NAMES if draw(st.booleans()) else NAMES[:-1]
-    shared = {name: categorize_attack(name) for name in names}
-    # load_dataset shares one Label per name; fresh objects must count the same
     labels = [
-        shared[name] if draw(st.booleans()) else categorize_attack(name)
+        categorize_attack(name)
         for name in draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
     ]
     majc = draw(st.lists(VALUES, min_size=n, max_size=n))

@@ -181,7 +181,7 @@ class TestFit:
         assert np.array_equal(a.eigen.vectors, b.eigen.vectors)
         assert np.array_equal(a.standardizer.mean, b.standardizer.mean)
         assert a.t_major == b.t_major
-        assert a.encoder.tables == b.encoder.tables
+        assert a.encoder == b.encoder
 
     def test_overrides_pin_selection(self, corpus_dataset):
         model = fit(corpus_dataset, BASIC6, TrainerConfig(q_override=3, r_override=0))
