@@ -70,10 +70,10 @@ class StreamVerdict(NamedTuple):
     error: str | None = None
 
 
-def _score_sums(y: np.ndarray, floored: np.ndarray, q: int, r: int):
+def _score_sums(y: np.ndarray, floored: list[float], q: int, r: int):
     """Sums of y_i^2 / lambda_i over the first q and over the last r components.
 
-    ``floored`` holds ``EigenPairs.floored_values``. A p-vector gives
+    ``floored`` is ``EigenPairs.floored_values``, a list. A p-vector gives
     floats, an n x p matrix one sum per row. This is the only scorer:
     ``train`` scores its training normals with it, and ``classify``,
     ``evaluate`` and ``sweep`` score records with it through ``_scores``.
@@ -83,9 +83,10 @@ def _score_sums(y: np.ndarray, floored: np.ndarray, q: int, r: int):
     Not ``sum`` (compensated from 3.12) nor ``v ** 2`` (OverflowError, not inf).
     """
     if y.ndim == 1 and q < 8 and r < 8:
-        terms = [v * v / f for v, f in zip(y.tolist(), floored.tolist())]
+        terms = [v * v / f for v, f in zip(y.tolist(), floored)]
         return reduce(add, terms[:q], 0.0), reduce(add, terms[len(terms) - r :], 0.0)
-    terms = y * y / floored
+    terms = y * y
+    terms /= floored
     p = terms.shape[-1]
     major = terms[..., :q].sum(axis=-1)
     minor = terms[..., p - r :].sum(axis=-1)

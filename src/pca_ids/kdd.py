@@ -21,7 +21,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from math import inf
 from typing import NamedTuple, Sequence
 
@@ -123,15 +122,17 @@ def categorize_attack(raw_name: str) -> AttackCategory:
 
 
 class ConnectionRecord(NamedTuple):
-    """One parsed connection record: 41 raw fields plus optional label."""
+    """One parsed connection record: the text of its 41 fields, comma-joined
+    and each stripped, plus optional label. One string holds a record in
+    about a third of the memory of a tuple of 41; no field holds a comma."""
 
-    raw_features: tuple[str, ...]
+    text: str
     label: str | None
     difficulty: int | None = None
 
     def feature(self, position: int) -> str:
         """Raw field at a 1-based position."""
-        return self.raw_features[position - 1]
+        return self.text.split(",")[position - 1]
 
 
 # Builds a NamedTuple from one tuple of fields, skipping its Python-level
@@ -161,9 +162,10 @@ def parse_record(
     as a finite value >= 0, with whitespace around it allowed.
 
     A canonical line (see the module docstring) is accepted by one match of
-    ``_CANONICAL_LINE`` and split once, with no ``float`` call: each number
-    is converted once, by ``extract_features``. Any other line goes to
-    ``_parse_fields``, which gives the same record or the rejection.
+    ``_CANONICAL_LINE``, whose first group is the record's text, with no
+    ``float`` call: each number is converted once, by ``extract_features``.
+    Any other line goes to ``_parse_fields``, which gives the same record
+    or the rejection.
 
     Raises:
         MalformedRow: wrong field count, a numeric field that is not a
@@ -175,11 +177,9 @@ def parse_record(
         features, label, difficulty = match.groups()
         if label is not None:
             difficulty = None if difficulty is None else int(difficulty)
-            return _new_tuple(
-                ConnectionRecord, (tuple(features.split(",")), label.rstrip("."), difficulty)
-            )
+            return _new_tuple(ConnectionRecord, (features, label.rstrip("."), difficulty))
         if allow_unlabeled:
-            return _new_tuple(ConnectionRecord, (tuple(features.split(",")), None, None))
+            return _new_tuple(ConnectionRecord, (features, None, None))
     return _parse_fields(line, line_no, allow_unlabeled)
 
 
@@ -212,7 +212,7 @@ def _parse_fields(line: str, line_no: int, allow_unlabeled: bool) -> ConnectionR
 
     features = fields[:N_RAW_FEATURES]
     _check_fields(features, line_no)
-    return ConnectionRecord(tuple(features), label, difficulty)
+    return ConnectionRecord(",".join(features), label, difficulty)
 
 
 def _check_fields(features: list[str], line_no: int) -> None:
@@ -251,18 +251,17 @@ class FeatureProfile:
 
     name: str
     indices: tuple[int, ...]
+    # The indices at token fields, the columns that take an encoder code. A
+    # plain attribute, not a property: the n=1 path reads it on every record.
+    categorical_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("profile indices must be strictly increasing")
         if any(i < 1 or i > N_RAW_FEATURES for i in self.indices):
             raise ValueError("profile indices must be within 1..41")
-
-    # Cached, not computed per access: the n=1 path reads it on every record.
-    @cached_property
-    def categorical_indices(self) -> tuple[int, ...]:
-        """The indices at token fields, the columns that take an encoder code."""
-        return tuple(i for i in self.indices if i in CATEGORICAL_POSITIONS)
+        tokens = tuple(i for i in self.indices if i in CATEGORICAL_POSITIONS)
+        object.__setattr__(self, "categorical_indices", tokens)
 
     @property
     def p(self) -> int:
@@ -371,11 +370,15 @@ def build_encoder(
     if not records:
         raise EmptyDatasetError("cannot build an encoder from zero records")
 
-    tables: dict[int, dict[str, int]] = {}
-    for position in profile.categorical_indices:
-        tokens = {rec.feature(position) for rec in records}
-        tables[position] = {tok: code for code, tok in enumerate(sorted(tokens))}
-    return tables
+    tokens: dict[int, set[str]] = {position: set() for position in profile.categorical_indices}
+    for rec in records:
+        fields = rec.text.split(",")
+        for position, seen in tokens.items():
+            seen.add(fields[position - 1])
+    return {
+        position: {tok: code for code, tok in enumerate(sorted(seen))}
+        for position, seen in tokens.items()
+    }
 
 
 class FeatureVector(NamedTuple):
@@ -394,7 +397,7 @@ def extract_features(
 
     The one row encoder: ``encode_matrix`` fills each of its rows from it.
     """
-    raw = record.raw_features
+    raw = record.text.split(",")
     categorical = profile.categorical_indices
     values = []
     unknown = False

@@ -94,6 +94,7 @@ _NUMBER = ((int, float), "number")
 _INTEGER = ((int,), "integer")
 _BOOLEAN = ((bool,), "boolean")
 _OBJECT = ((dict,), "object")
+_STRING = ((str,), "string")
 
 
 def _lookup(doc: dict, path: str):
@@ -149,7 +150,7 @@ def model_from_document(doc: dict) -> PcaModel:
                 f"model format version {version} is not supported "
                 f"(this build reads version {FORMAT_VERSION})"
             )
-        name = doc["profile"]["name"]
+        name = _scalar(doc, "profile.name", _STRING)
         indices = tuple(_array(doc, "profile.indices", _INTEGER))
         declared = tuple(_array(doc, "profile.categorical_indices", _INTEGER))
         profile = FeatureProfile(name, indices)
@@ -161,6 +162,8 @@ def model_from_document(doc: dict) -> PcaModel:
         encoder = {}
         for pos, table in _check("encoder", doc["encoder"], _OBJECT).items():
             path = f"encoder.{pos}"
+            if not (pos.isdecimal() and str(int(pos)) == pos):  # "02" would alias "2"
+                raise ModelFormatError(f"malformed model document: {path}: key is not a position")
             encoder[int(pos)] = {
                 token: _check(path, code, _INTEGER)
                 for token, code in _check(path, table, _OBJECT).items()

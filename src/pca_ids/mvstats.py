@@ -10,7 +10,7 @@ comes from a BLAS product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,8 +82,11 @@ def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {params.p} features, got {x.shape[-1]}"
         )
-    z = (x - params.mean) / params.safe_std
-    return np.where(params.degenerate, 0.0, z) if params.any_degenerate else z
+    z = x - params.mean
+    z /= params.safe_std
+    if params.any_degenerate:
+        z[..., params.degenerate] = 0.0
+    return z
 
 
 def correlation_matrix(
@@ -121,15 +124,17 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray  # column i pairs with values[i]
+    # The eigenvalues raised to EIGENVALUE_FLOOR, the score divisors, as
+    # Python floats: the n=1 scorer divides by them on every record.
+    floored_values: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        floored = np.maximum(self.values, EIGENVALUE_FLOOR).tolist()
+        object.__setattr__(self, "floored_values", floored)
 
     @property
     def p(self) -> int:
         return self.values.shape[0]
-
-    @cached_property
-    def floored_values(self) -> np.ndarray:
-        """The eigenvalues raised to EIGENVALUE_FLOOR, the score divisors."""
-        return np.maximum(self.values, EIGENVALUE_FLOOR)
 
 
 def eigen_sym(matrix: np.ndarray) -> EigenPairs:

@@ -799,6 +799,45 @@ class TestInspect:
             code, out, err = run_cli([*argv, "--model", str(bad)], capsys)
             assert (code, out, err) == (1, "", expected)
 
+    @pytest.mark.parametrize(
+        "edit, finding",
+        [
+            pytest.param(
+                lambda doc, key=key: doc["encoder"].update({key: {"zzz": 0}}),
+                f"encoder.{key}: key is not a position",
+                id=f"encoder-key-{kind}",
+            )
+            for kind, key in [
+                ("zero", "02"), ("plus", "+2"), ("space", " 2"), ("fraction", "2.0"),
+                ("arabic-indic", "\u0662"),
+            ]
+        ]
+        + [
+            pytest.param(
+                lambda doc: doc["profile"].update(name=5),
+                "profile.name: 5 is not a JSON string",
+                id="name-integer",
+            )
+        ],
+    )
+    def test_edited_step1_model_fails_not_passes(
+        self, corpus_file, tmp_path, capsys, edit, finding
+    ):
+        # an alias of position 2 would replace its table, and every protocol
+        # token would then encode as unseen
+        path = tmp_path / "step1.json"
+        code, _, err = run_cli(
+            ["train", "--data", corpus_file, "--preset", "step1", "--out", str(path)], capsys
+        )
+        assert code == 0, err
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        expected = f"error: malformed model document: {finding}\n"
+        for argv in (["inspect"], ["classify", "--input", corpus_file]):
+            code, out, err = run_cli([*argv, "--model", str(path)], capsys)
+            assert (code, out, err) == (1, "", expected)
+
     def test_missing_model_is_runtime_error(self, tmp_path, capsys):
         code, _, _ = run_cli(["inspect", "--model", str(tmp_path / "x.json")], capsys)
         assert code == 1

@@ -1,5 +1,8 @@
 """Parsing, labeling, encoding, and dataset loading."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,7 +48,7 @@ def line_for(label=None, difficulty=None, **positions) -> str:
 class TestParseRecord:
     def test_labeled_with_difficulty(self):
         rec = parse_record(line_for(label="normal", difficulty=21))
-        assert len(rec.raw_features) == 41
+        assert len(rec.text.split(",")) == 41
         assert rec.label == "normal"
         assert rec.difficulty == 21
 
@@ -91,14 +94,14 @@ class TestParseRecord:
     def test_roundtrip_preserves_features(self):
         line = line_for(label="normal", difficulty=15, p5=491, p23=9)
         rec = parse_record(line)
-        assert ",".join(rec.raw_features) == ",".join(line.split(",")[:41])
+        assert rec.text == ",".join(line.split(",")[:41])
         assert (rec.label, rec.difficulty) == ("normal", 15)
 
     def test_roundtrip_over_whole_corpus(self, corpus_lines):
         for line in corpus_lines:
             rec = parse_record(line)
             fields = line.split(",")
-            assert ",".join(rec.raw_features) == ",".join(fields[:41])
+            assert rec.text == ",".join(fields[:41])
             difficulty = int(fields[42]) if len(fields) == 43 else None
             assert (rec.label, rec.difficulty) == (fields[41], difficulty)
 
@@ -270,9 +273,12 @@ class TestCanonicalFastPath:
         if n_fields is not None:
             fields = (fields + ["0"] * 5)[:n_fields]
         line = around + ",".join(fields) + around
-        assert outcome(parse_record, line, allow_unlabeled) == outcome(
-            kdd._parse_fields, line, allow_unlabeled
-        )
+        fast = outcome(parse_record, line, allow_unlabeled)
+        per_field = outcome(kdd._parse_fields, line, allow_unlabeled)
+        assert fast == per_field
+        if fast[0] != "raised":  # both give the text of the 41 stripped fields
+            stripped = ",".join(field.strip() for field in line.strip().split(",")[:41])
+            assert fast[0] == per_field[0] == stripped
 
     def test_canonical_lines_skip_the_per_field_path(self, corpus_lines, monkeypatch):
         def per_field(line, line_no, allow_unlabeled):
@@ -368,6 +374,18 @@ class TestLoadDataset:
         assert ds.malformed_count == 1
         assert ds.malformed_lines[0][0] == 2
         assert "UTF-8" in ds.malformed_lines[0][1]
+
+    def test_a_loaded_record_holds_at_most_400_bytes(self, corpus_file):
+        # one string of the 41 fields per record; a tuple of 41 held about 870 B
+        load_dataset(corpus_file)  # first-use allocations: the pattern, the labels
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(corpus_file)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(dataset) <= 400
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -204,6 +204,12 @@ class TestValidation:
                 "profile.indices",
                 id="index-float",
             ),
+            pytest.param(lambda doc: doc["profile"].update(name=5), "profile.name", id="name-int"),
+            pytest.param(
+                lambda doc: doc["encoder"].update({"03": doc["encoder"]["3"]}),
+                "encoder.03",
+                id="encoder-key-alias",
+            ),
         ],
     )
     def test_wrongly_typed_value_names_its_field(self, model_path, edit, field):

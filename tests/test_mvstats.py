@@ -72,6 +72,16 @@ class TestStandardize:
         z = standardize(np.array([123.0, 2.0]), params)
         assert z[0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(3,), (7, 3)])
+    def test_bit_identical_to_the_formula(self, shape):
+        # (x - mean) / std, with 0 at degenerate features, rounded once per entry
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(20, 3)) * [1.0, 0.0, 1e3]
+        params = fit_standardizer(data)
+        x = rng.normal(size=shape) * 1e4
+        expected = np.where(params.degenerate, 0.0, (x - params.mean) / params.safe_std)
+        assert standardize(x, params).tobytes() == expected.tobytes()
+
     def test_dimension_mismatch(self, params):
         with pytest.raises(DimensionMismatch):
             standardize(np.zeros(5), params)
