@@ -19,22 +19,8 @@ from .evaluation import (
     machine_report,
     sweep,
 )
-from .kdd import (
-    DECODE_ERRORS,
-    Dataset,
-    EmptyDatasetError,
-    PROFILES,
-    load_dataset,
-    open_text,
-)
-from .modelio import (
-    ModelFormatError,
-    ModelIntegrityError,
-    eigen_residuals,
-    load_model,
-    save_model,
-    verify_model,
-)
+from .kdd import DECODE_ERRORS, PROFILES, Dataset, load_dataset, open_text
+from .modelio import eigen_residuals, load_model, save_model, verify_model
 from .mvstats import NoConvergence
 from .trainer import PRESETS, TrainerConfig, fit
 
@@ -232,16 +218,10 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     model = load_model(args.model)
-    if args.tmm_grid and model.r == 0:
+    if args.tmm_grid and model.t_minor is None:
         parser.error("--tmm-grid needs a model with minor components; this one has r=0")
     dataset = _load_dataset(args.data)
-    if args.tmm_grid:
-        minor_values = args.tmm_grid
-    elif model.r > 0:
-        minor_values = [model.t_minor]
-    else:
-        minor_values = [None]
-    grid = [(tm, tmm) for tm in args.tm_grid for tmm in minor_values]
+    grid = [(tm, tmm) for tm in args.tm_grid for tmm in args.tmm_grid or [model.t_minor]]
 
     result = sweep(model, dataset, grid)
     rows = [f"{'t_major':>14}{'t_minor':>14}{'recall':>10}{'fpr':>10}{'success':>10}"]
@@ -264,7 +244,7 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 def cmd_inspect(args) -> int:
     model = load_model(args.model, verify=False)
     issues = verify_model(model)
-    p = model.p
+    p = model.profile.p
 
     print(f"profile: {model.profile.name} (p={p})")
     print(f"features: {', '.join(model.profile.feature_names())}")
@@ -319,14 +299,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "inspect":
                 return cmd_inspect(args)
             parser.error(f"unknown command {args.command!r}")
-    except (
-        OSError,
-        EmptyDatasetError,
-        NoConvergence,
-        ModelFormatError,
-        ModelIntegrityError,
-        ValueError,
-    ) as err:
+    # EmptyDatasetError, ModelFormatError and ModelIntegrityError are ValueErrors.
+    except (OSError, NoConvergence, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0

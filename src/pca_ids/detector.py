@@ -1,10 +1,11 @@
 """Online classification: map records into the eigenspace and threshold.
 
 A record is an attack when its major-component score exceeds t_major or,
-when minor components are in play, its minor-component score exceeds
-t_minor. Both comparisons are strict, so a score equal to its threshold
-stays normal. A NaN score exceeds every threshold: a record whose features
-overflow the standardization is an attack, never a silent normal.
+when the model has a t_minor (exactly when r > 0), its minor-component
+score exceeds t_minor. Both comparisons are strict, so a score equal to
+its threshold stays normal. A NaN score exceeds every threshold: a record
+whose features overflow the standardization is an attack, never a silent
+normal.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .kdd import (
-    ConnectionRecord,
-    MalformedRow,
-    _new_tuple,
-    encode_matrix,
-    extract_features,
-    parse_record,
-)
+from .kdd import ConnectionRecord, _new_tuple, _parse_lines, encode_matrix, extract_features
 from .mvstats import project, standardize
 
 if TYPE_CHECKING:
@@ -106,13 +100,13 @@ def _exceeds(score, threshold):
     return (score > threshold) | ((score != score) & (threshold == threshold))
 
 
-def over_thresholds(majc, minc, t_major: float, t_minor: float | None, r: int):
+def over_thresholds(majc, minc, t_major: float, t_minor: float | None):
     """The strict two-threshold rule: (over_major, over_minor).
 
     Works on scalars and on score arrays alike; the minor test is False
-    when no minor components are in play.
+    when there is no t_minor, as for an r = 0 model.
     """
-    over_minor = r > 0 and t_minor is not None and _exceeds(minc, t_minor)
+    over_minor = t_minor is not None and _exceeds(minc, t_minor)
     return _exceeds(majc, t_major), over_minor
 
 
@@ -128,7 +122,7 @@ def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
     majc, minc = _scores(model, values)
-    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor, model.r)]
+    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor)]
     return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
 
 
@@ -144,24 +138,6 @@ def score_records(
     return majc, minc, unknown
 
 
-def _parse_lines(
-    numbered: Iterable[tuple[int, str]],
-) -> Iterator[tuple[int, ConnectionRecord | None, str | None]]:
-    """(line_no, record, None) per non-blank line, (line_no, None, error) if malformed.
-
-    Unlabeled 41-field rows are accepted.
-    """
-    for line_no, line in numbered:
-        if not line.strip():
-            continue
-        try:
-            record = parse_record(line, line_no, allow_unlabeled=True)
-        except MalformedRow as err:
-            yield line_no, None, str(err)
-            continue
-        yield line_no, record, None
-
-
 def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
     """Classify a stream of NSL-KDD text lines, one item per non-blank line.
 
@@ -169,7 +145,7 @@ def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamV
     before the next line is read. Malformed lines yield an error item
     instead of stopping the stream; order follows the input.
     """
-    for line_no, record, error in _parse_lines(enumerate(lines, start=1)):
+    for line_no, record, error in _parse_lines(enumerate(lines, start=1), allow_unlabeled=True):
         verdict = None if record is None else classify(model, record)
         yield _new_tuple(StreamVerdict, (line_no, verdict, error))
 
@@ -183,15 +159,13 @@ def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVer
     """
     numbered = enumerate(lines, start=1)
     while chunk := list(islice(numbered, CHUNK_LINES)):
-        parsed = list(_parse_lines(chunk))
+        parsed = list(_parse_lines(chunk, allow_unlabeled=True))
         majc, minc, unknown = score_records(
             model, [record for _, record, _ in parsed if record is not None]
         )
-        over_major, over_minor = over_thresholds(
-            majc, minc, model.t_major, model.t_minor, model.r
-        )
+        over_major, over_minor = over_thresholds(majc, minc, model.t_major, model.t_minor)
         # .tolist() gives the Python floats that classify puts in a Verdict;
-        # with no minor components in play over_minor is a scalar False.
+        # with no t_minor over_minor is a scalar False.
         scored = zip(
             majc.tolist(),
             minc.tolist(),

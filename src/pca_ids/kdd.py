@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from math import inf
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,10 +130,6 @@ class ConnectionRecord(NamedTuple):
     label: str | None
     difficulty: int | None = None
 
-    def feature(self, position: int) -> str:
-        """Raw field at a 1-based position."""
-        return self.text.split(",")[position - 1]
-
 
 # Builds a NamedTuple from one tuple of fields, skipping its Python-level
 # __new__: ConnectionRecord, FeatureVector, Verdict and StreamVerdict.
@@ -236,6 +232,26 @@ def _check_fields(features: list[str], line_no: int) -> None:
             )
 
 
+def _parse_lines(
+    numbered: Iterable[tuple[int, str]], allow_unlabeled: bool = False
+) -> Iterator[tuple[int, ConnectionRecord | None, str | None]]:
+    """(line_no, record, None) per non-blank line, (line_no, None, error) if malformed.
+
+    The one line loop: ``load_dataset``, ``classify_stream`` and
+    ``classify_file`` read their lines through it. Private, so a tracer that
+    wraps public names adds no span per item.
+    """
+    for line_no, line in numbered:
+        if not line.strip():
+            continue
+        try:
+            record = parse_record(line, line_no, allow_unlabeled)
+        except MalformedRow as err:
+            yield line_no, None, str(err)
+            continue
+        yield line_no, record, None
+
+
 def open_text(path: str):
     """Open a record file for reading as UTF-8.
 
@@ -333,15 +349,11 @@ def load_dataset(path: str) -> Dataset:
     detail: list[tuple[int, str]] = []
 
     with open_text(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = parse_record(line, line_no)
-            except MalformedRow as err:
+        for line_no, record, error in _parse_lines(enumerate(handle, start=1)):
+            if record is None:
                 malformed += 1
                 if len(detail) < MAX_ERROR_DETAIL:
-                    detail.append((line_no, str(err)))
+                    detail.append((line_no, error))
                 continue
             records.append(record)
             name = record.label or ""
@@ -356,8 +368,7 @@ def load_dataset(path: str) -> Dataset:
 
 
 def build_encoder(
-    dataset: Dataset | Sequence[ConnectionRecord],
-    profile: FeatureProfile,
+    records: Sequence[ConnectionRecord], profile: FeatureProfile
 ) -> dict[int, dict[str, int]]:
     """The encoder: a token-to-code table per token field of the profile,
     keyed by its 1-based position, from observed training records.
@@ -366,7 +377,6 @@ def build_encoder(
     rebuild over the same data always yields the same mapping. Unknown
     tokens map to code K, one past the largest.
     """
-    records = dataset.records if isinstance(dataset, Dataset) else dataset
     if not records:
         raise EmptyDatasetError("cannot build an encoder from zero records")
 

@@ -106,12 +106,20 @@ def _lookup(doc: dict, path: str):
 
 def _check(path: str, value, kind: tuple[tuple[type, ...], str]):
     """``value`` if it is a JSON value of ``kind``, else a ModelFormatError
-    naming ``path``. A bool is only a boolean, though Python counts it an int.
+    naming ``path``. A bool is only a boolean, though Python counts it an int,
+    and a number is one only if a float holds it: JSON integers are unbounded.
     """
     types, noun = kind
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         text = json.dumps(value, default=repr)
         raise ModelFormatError(f"malformed model document: {path}: {text} is not a JSON {noun}")
+    if float in types and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ModelFormatError(
+                f"malformed model document: {path}: a number too large for a float"
+            ) from None
     return value
 
 
@@ -187,7 +195,7 @@ def model_from_document(doc: dict) -> PcaModel:
             r=_scalar(doc, "selection.r", _INTEGER),
             t_major=float(_scalar(doc, "thresholds.t_major", _NUMBER)),
             t_minor=None if t_minor is None else float(t_minor),
-            metadata=dict(doc.get("provenance", {})),
+            metadata=dict(_check("provenance", doc.get("provenance", {}), _OBJECT)),
         )
     except ModelFormatError:
         raise
@@ -275,8 +283,11 @@ def verify_model(model: PcaModel) -> list[str]:
         issues.append(f"r={model.r} outside 0..{p - model.q}")
     if model.t_major < 0:
         issues.append("t_major is negative")
+    # The minor test runs exactly when there is a t_minor.
     if model.r > 0 and (model.t_minor is None or model.t_minor < 0):
         issues.append("t_minor missing or negative while r > 0")
+    if model.r == 0 and model.t_minor is not None:
+        issues.append("t_minor set while r = 0")
     return issues
 
 
@@ -301,7 +312,7 @@ def load_model(path: str, verify: bool = True) -> PcaModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON, bytes not UTF-8, or an int past the digit limit
             raise ModelFormatError(f"not a JSON model file: {err}") from err
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")

@@ -45,10 +45,6 @@ class StandardizationParams:
     std: np.ndarray
     degenerate: np.ndarray  # bool mask of zero-variance features
 
-    @property
-    def p(self) -> int:
-        return self.mean.shape[0]
-
     @cached_property
     def safe_std(self) -> np.ndarray:
         """The std with degenerate features set to 1, safe to divide by."""
@@ -78,10 +74,9 @@ def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
     Accepts a single p-vector or an n x p matrix.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.p:
-        raise DimensionMismatch(
-            f"expected {params.p} features, got {x.shape[-1]}"
-        )
+    p = params.mean.shape[0]
+    if x.shape[-1] != p:
+        raise DimensionMismatch(f"expected {p} features, got {x.shape[-1]}")
     z = x - params.mean
     z /= params.safe_std
     if params.any_degenerate:
@@ -132,10 +127,6 @@ class EigenPairs:
         floored = np.maximum(self.values, EIGENVALUE_FLOOR).tolist()
         object.__setattr__(self, "floored_values", floored)
 
-    @property
-    def p(self) -> int:
-        return self.values.shape[0]
-
 
 def eigen_sym(matrix: np.ndarray) -> EigenPairs:
     """Eigendecomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
@@ -181,6 +172,7 @@ def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:
     bit-identically to the same row on its own.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != pairs.p:
-        raise DimensionMismatch(f"expected {pairs.p} features, got {z.shape[-1]}")
+    p = pairs.vectors.shape[0]
+    if z.shape[-1] != p:
+        raise DimensionMismatch(f"expected {p} features, got {z.shape[-1]}")
     return np.einsum("...j,jk->...k", z, pairs.vectors)

@@ -86,10 +86,6 @@ class PcaModel:
     t_minor: float | None
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def p(self) -> int:
-        return self.profile.p
-
 
 def select_major(eigenvalues: Sequence[float], variance_target: float) -> int:
     """Smallest q whose leading eigenvalues reach the variance target."""

@@ -681,6 +681,30 @@ class TestMalformedLinesNote:
         assert (code, err) == (0, "")
 
 
+def test_load_and_classify_name_the_same_malformed_lines(
+    trained, corpus_lines, tmp_path, capsys
+):
+    """load_dataset and classify --input read lines through one loop, so they
+    skip the same blank lines and number the same damaged ones."""
+    lines = [line.split(",") for line in corpus_lines[:20]]
+    lines[2] = [""]
+    lines[4] = ["1", "2", "3"]
+    lines[7] = ["   "]
+    lines[9][1] = ""  # an empty token
+    lines[12][4] = "abc"
+    lines[15][5] = "-1"
+    data = tmp_path / "damaged.txt"
+    data.write_text("".join(",".join(fields) + "\n" for fields in lines))
+
+    skipped = [line_no for line_no, _ in kdd.load_dataset(str(data)).malformed_lines]
+    code, out, _ = run_cli(["classify", "--model", trained, "--input", str(data)], capsys)
+    assert code == 0
+    reported = [
+        int(line.split(" line=")[1]) for line in out.splitlines() if line.startswith("error=")
+    ]
+    assert skipped == reported == [5, 10, 13, 16]
+
+
 class TestInspect:
     def test_healthy_model_passes(self, trained, capsys):
         code, out, _ = run_cli(["inspect", "--model", trained], capsys)
@@ -785,6 +809,21 @@ class TestInspect:
                 "encoder: [] is not a JSON object",
                 id="encoder-list",
             ),
+            pytest.param(
+                lambda doc: doc["thresholds"].update(t_major=10**400),
+                "thresholds.t_major: a number too large for a float",
+                id="t_major-huge",
+            ),
+            pytest.param(
+                lambda doc: doc["standardizer"]["mean"].__setitem__(0, -(10**400)),
+                "standardizer.mean: a number too large for a float",
+                id="mean-huge",
+            ),
+            pytest.param(
+                lambda doc: doc.update(provenance=[["n_records", 1]]),
+                'provenance: [["n_records", 1]] is not a JSON object',
+                id="provenance-list",
+            ),
         ],
     )
     def test_wrongly_typed_model_is_one_error_line(
@@ -798,6 +837,34 @@ class TestInspect:
         for argv in (["inspect"], ["classify", "--input", corpus_file]):
             code, out, err = run_cli([*argv, "--model", str(bad)], capsys)
             assert (code, out, err) == (1, "", expected)
+
+    @pytest.mark.parametrize(
+        "preset, t_minor, finding",
+        [
+            pytest.param("step1", 5.0, "t_minor set while r = 0", id="step1-positive"),
+            pytest.param("step1", -1.0, "t_minor set while r = 0", id="step1-negative"),
+            pytest.param(
+                "step2", None, "t_minor missing or negative while r > 0", id="step2-null"
+            ),
+        ],
+    )
+    def test_t_minor_is_set_exactly_when_r_is_positive(
+        self, corpus_file, tmp_path, capsys, preset, t_minor, finding
+    ):
+        # a t_minor on an r = 0 model would be printed by inspect but never applied
+        path = tmp_path / f"{preset}.json"
+        code, _, err = run_cli(
+            ["train", "--data", corpus_file, "--preset", preset, "--out", str(path)], capsys
+        )
+        assert code == 0, err
+        doc = json.loads(path.read_text())
+        doc["thresholds"]["t_minor"] = t_minor
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["inspect", "--model", str(path)], capsys)
+        assert (code, err) == (1, f"integrity: FAIL {finding}\n")
+        code, out, err = run_cli(["classify", "--model", str(path), "--input", corpus_file], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and finding in err
 
     @pytest.mark.parametrize(
         "edit, finding",

@@ -73,8 +73,8 @@ class TestScores:
         for idx in rng.integers(0, len(normals), size=10):
             z = standardize(X[idx], model.standardizer)
             y = project(z, model.eigen)
-            full, _ = _score_sums(y, model.eigen.floored_values, model.p, 0)
-            oracle = mahalanobis_sq(z, np.zeros(model.p), r_inv)
+            full, _ = _score_sums(y, model.eigen.floored_values, model.profile.p, 0)
+            oracle = mahalanobis_sq(z, np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
 
     def test_partition_identity(self, score_setup):
@@ -203,13 +203,13 @@ class TestScoreRecords:
         # numpy; every (q, r) split must give the matrix path's floats, and
         # traffic10 (p=10) reaches the 8-term boundary from both sides.
         model = preset_model
-        q = data.draw(st.integers(0, model.p), label="q")
-        r = data.draw(st.integers(0, model.p - q), label="r")
+        q = data.draw(st.integers(0, model.profile.p), label="q")
+        r = data.draw(st.integers(0, model.profile.p - q), label="r")
         X = data.draw(
             hnp.arrays(
                 float,
                 hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12).map(
-                    lambda shape: (shape[0], model.p)
+                    lambda shape: (shape[0], model.profile.p)
                 ),
                 elements=st.floats(-1e6, 1e6),
             )
@@ -217,11 +217,11 @@ class TestScoreRecords:
         floored = model.eigen.floored_values
         y = project(standardize(X, model.standardizer), model.eigen)
         batch = _score_sums(y, floored, q, r)
-        full, _ = _score_sums(y, floored, model.p, 0)  # sums past 8 terms on traffic10
+        full, _ = _score_sums(y, floored, model.profile.p, 0)  # sums past 8 terms on traffic10
         for i, row in enumerate(X):
             y1 = project(standardize(row, model.standardizer), model.eigen)
             assert _score_sums(y1, floored, q, r) == (batch[0][i], batch[1][i])
-            assert _score_sums(y1, floored, model.p, 0)[0] == full[i]
+            assert _score_sums(y1, floored, model.profile.p, 0)[0] == full[i]
 
     @settings(max_examples=60, deadline=None)
     @given(

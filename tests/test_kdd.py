@@ -423,8 +423,8 @@ class TestEncoder:
         assert enc[2] == {"tcp": 0}
 
     def test_rebuild_is_identical(self, corpus_dataset):
-        first = build_encoder(corpus_dataset, BASIC6)
-        second = build_encoder(corpus_dataset, BASIC6)
+        first = build_encoder(corpus_dataset.records, BASIC6)
+        second = build_encoder(corpus_dataset.records, BASIC6)
         assert first == second
 
     def test_empty_input_rejected(self):

@@ -127,6 +127,19 @@ class TestValidation:
         with pytest.raises(ModelFormatError):
             load_model(str(path))
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'{"format_version": 1, "profile": "\xff"}', id="not-utf8"),
+            pytest.param(b'{"format_version": ' + b"9" * 5000 + b"}", id="integer-5000-digits"),
+        ],
+    )
+    def test_unparsable_file_is_a_format_error(self, tmp_path, content):
+        path = tmp_path / "junk.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelFormatError):
+            load_model(str(path))
+
     def test_missing_section_rejected(self, model_path):
         doc = json.loads(model_path.read_text())
         del doc["standardizer"]
