@@ -1,0 +1,66 @@
+"""Fails when `train` or `evaluate` grows with its input past a bound.
+
+    python .github/scripts/memory_growth.py WORKDIR
+
+Writes seed-801 inputs with perfbench/gen.py at --units 8 (4,048 rows) and
+--units 200 (101,200 rows) under WORKDIR. Runs `train` and `evaluate`
+(step2) on each size in a fresh process and reads its peak RSS from
+wait4. Exits 1 when the peak grows from the small to the large input by
+more than 15 MB for `evaluate` or 30 MB for `train`. Both read their file
+in blocks and keep per record only what their result needs; holding every
+record grew each by about 50 MB here.
+
+Imports the standard library alone: Linux carries a process's peak RSS
+into the children it starts, so this process stays smaller than them.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+UNITS = (8, 200)
+BOUND_MB = {"train": 30.0, "evaluate": 15.0}
+
+
+def peak_rss_mb(argv: list[str]) -> float:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "SOURCE_DATE_EPOCH": "1700000000"}
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"failed: {' '.join(argv)}")
+    return usage.ru_maxrss / 1024
+
+
+def main() -> None:
+    work = Path(sys.argv[1])
+    cli = [sys.executable, "-m", "pca_ids.cli"]
+    inputs = {}
+    for units in UNITS:
+        inputs[units] = work / f"units{units}"
+        subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "gen.py"), "--seed", "801",
+             "--units", str(units), "--stream-lines", "1000", "--out", str(inputs[units])],
+            check=True,
+        )
+    model = str(work / "step2.json")
+    argv = {
+        "train": lambda data: ["train", "--data", str(data / "train.txt"), "--preset", "step2",
+                               "--out", model],
+        "evaluate": lambda data: ["evaluate", "--model", model, "--data", str(data / "test.txt")],
+    }
+    failed = False
+    for command, bound in BOUND_MB.items():  # train first: it writes the model evaluate reads
+        peaks = [peak_rss_mb([*cli, *argv[command](inputs[units])]) for units in UNITS]
+        growth = peaks[1] - peaks[0]
+        print(f"{command}: peak RSS {peaks[0]:.1f} -> {peaks[1]:.1f} MB, "
+              f"growth {growth:.1f} MB (bound {bound:.0f})")
+        failed |= growth > bound
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

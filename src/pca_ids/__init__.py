@@ -15,10 +15,9 @@ from .kdd import (
     FeatureProfile,
     FeatureVector,
     MalformedRow,
-    build_encoder,
     categorize_attack,
+    encode_normals,
     extract_features,
-    load_dataset,
     parse_record,
 )
 from .mvstats import (

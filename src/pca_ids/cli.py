@@ -9,6 +9,8 @@ import argparse
 import io
 import json
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .evaluation import (
     machine_report,
     sweep,
 )
-from .kdd import DECODE_ERRORS, PROFILES, Dataset, load_dataset, open_text
+from .kdd import DECODE_ERRORS, PROFILES, Dataset, open_text
 from .modelio import eigen_residuals, load_model, save_model, verify_model
 from .mvstats import NoConvergence
 from .trainer import PRESETS, TrainerConfig, fit
@@ -95,15 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path: str) -> Dataset:
-    """``load_dataset``, with one stderr line when it skipped malformed lines."""
-    dataset = load_dataset(path)
-    n = dataset.malformed_count
-    if n:
-        lines = "line" if n == 1 else "lines"
-        first = dataset.malformed_lines[0][1]
-        print(f"skipped {n} malformed {lines}; first: {first}", file=sys.stderr)
-    return dataset
+@contextmanager
+def _reading(path: str) -> Iterator[Dataset]:
+    """A Dataset over the file at ``path``. When its pass has ended with
+    valid records and skipped malformed lines, one stderr line says so, on
+    the way out of the block, so before any error raised after the pass."""
+    dataset = Dataset(path)
+    try:
+        yield dataset
+    finally:
+        n = dataset.malformed_count
+        if n and len(dataset):
+            lines = "line" if n == 1 else "lines"
+            first = dataset.malformed_lines[0][1]
+            print(f"skipped {n} malformed {lines}; first: {first}", file=sys.stderr)
 
 
 def _trainer_config(args) -> TrainerConfig:
@@ -140,8 +147,8 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         parser.error("one of --profile or --preset is required")
 
     config = _trainer_config(args)
-    dataset = _load_dataset(args.data)
-    model = fit(dataset, profile, config)
+    with _reading(args.data) as dataset:
+        model = fit(dataset, profile, config)
     save_model(model, args.out)
 
     meta = model.metadata
@@ -159,8 +166,8 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    dataset = _load_dataset(args.data)
-    report = evaluate(model, dataset)
+    with _reading(args.data) as dataset:
+        report = evaluate(model, dataset)
     if args.format == "machine":
         text = json.dumps(machine_report(report), indent=2)
     else:
@@ -220,10 +227,9 @@ def cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     model = load_model(args.model)
     if args.tmm_grid and model.t_minor is None:
         parser.error("--tmm-grid needs a model with minor components; this one has r=0")
-    dataset = _load_dataset(args.data)
     grid = [(tm, tmm) for tm in args.tm_grid for tmm in args.tmm_grid or [model.t_minor]]
-
-    result = sweep(model, dataset, grid)
+    with _reading(args.data) as dataset:
+        result = sweep(model, dataset, grid)
     rows = [f"{'t_major':>14}{'t_minor':>14}{'recall':>10}{'fpr':>10}{'success':>10}"]
     for (tm, tmm), recall, fpr, success in zip(grid, result.recall, result.fpr, result.success):
         tmm_text = "n/a" if tmm is None else f"{tmm:.6g}"

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import reduce
-from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .kdd import ConnectionRecord, _new_tuple, _parse_lines, encode_matrix, extract_features
+from .kdd import (
+    ConnectionRecord,
+    _blocks,
+    _new_tuple,
+    _parse_lines,
+    encode_matrix,
+    extract_features,
+)
 from .mvstats import project, standardize
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
-
-# Lines that classify_file reads ahead and scores as one matrix.
-CHUNK_LINES = 1024
 
 
 class Trigger(Enum):
@@ -153,13 +156,11 @@ def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamV
 def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
     """``classify_stream`` for input that is all there: the same items, faster.
 
-    Reads ahead CHUNK_LINES lines at a time and scores the valid records
-    of each block as one matrix with ``score_records``; the scores are
-    bit-identical to those of ``classify``.
+    Reads ahead ``kdd.CHUNK_LINES`` lines at a time and scores the valid
+    records of each block as one matrix with ``score_records``; the scores
+    are bit-identical to those of ``classify``.
     """
-    numbered = enumerate(lines, start=1)
-    while chunk := list(islice(numbered, CHUNK_LINES)):
-        parsed = list(_parse_lines(chunk, allow_unlabeled=True))
+    for parsed in _blocks(lines, allow_unlabeled=True):
         majc, minc, unknown = score_records(
             model, [record for _, record, _ in parsed if record is not None]
         )

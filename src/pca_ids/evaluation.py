@@ -20,12 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .detector import score_records
-from .kdd import ATTACK_CATEGORIES, AttackCategory, Dataset
+from .kdd import ATTACK_CATEGORIES, CLASSES, AttackCategory, Dataset
 from .trainer import PcaModel
-
-# A record's class in the tally is its label: NORMAL first, then
-# the attack categories with UNKNOWN last.
-_CLASS_OF = {cat: code for code, cat in enumerate((AttackCategory.NORMAL, *ATTACK_CATEGORIES))}
 
 
 class EmptyMatrix(ValueError):
@@ -70,17 +66,16 @@ def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 
 
 def _grid_tally(
-    labels: Sequence[AttackCategory], k_major, k_minor, shape: tuple[int, int], at
+    codes: np.ndarray, k_major, k_minor, shape: tuple[int, int], at
 ) -> tuple[np.ndarray, np.ndarray]:
     """(exist, flagged): the records of each class, and those flagged at
     each grid point (j, l) of ``at`` as a classes x points array.
 
-    ``k_major``/``k_minor`` are the records' ranks, each below its axis
-    length in ``shape``; a record is flagged unless k_major <= j and
-    k_minor <= l. Classes are numbered as in ``_CLASS_OF``.
+    ``codes`` are the records' class codes, indices into ``kdd.CLASSES``;
+    ``k_major``/``k_minor`` are their ranks, each below its axis length in
+    ``shape``. A record is flagged unless k_major <= j and k_minor <= l.
     """
-    codes = np.fromiter((_CLASS_OF[label] for label in labels), np.intp, len(labels))
-    size = (len(_CLASS_OF), *shape)
+    size = (len(CLASSES), *shape)
     flat = np.ravel_multi_index((codes, k_major, k_minor), size)
     unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)
     exist = unflagged[:, -1, -1]
@@ -159,7 +154,7 @@ class SweepResult:
         self, grid: Sequence[tuple[float, float | None]], exist: np.ndarray, flagged: np.ndarray
     ):
         self.grid = grid
-        self.exist = exist  # records per class, numbered as in _CLASS_OF
+        self.exist = exist  # records per class, numbered as in kdd.CLASSES
         self.flagged = flagged  # classes x points
         normals, *attacks = exist.tolist()
         rates = _anomaly_rates(flagged[1:].sum(0), flagged[0], sum(attacks), normals)
@@ -187,14 +182,23 @@ def sweep(
 ) -> SweepResult:
     """Count the records flagged at each (t_major, t_minor) grid point.
 
-    Records are scored once and ranked once against the sorted distinct
-    thresholds; one cumulative histogram of the ranks then gives every
-    point's counts as an array, and the rates are array divisions. No
-    per-point report is built until ``report(k)`` asks for one.
+    Reads the dataset once, scoring each block with ``score_records`` and
+    keeping only each record's two scores and class code. Records are
+    ranked once against the sorted distinct thresholds; one cumulative
+    histogram of the ranks then gives every point's counts as an array,
+    and the rates are array divisions. No per-point report is built until
+    ``report(k)`` asks for one.
     """
     if not grid:
         raise EmptyGrid("threshold grid is empty")
-    majc, minc, _ = score_records(model, dataset.records)
+    majc_parts, minc_parts, code_parts = [], [], []
+    for records, codes in dataset:
+        majc, minc, _ = score_records(model, records)
+        majc_parts.append(majc)
+        minc_parts.append(minc)
+        code_parts.append(np.array(codes, np.int8))
+    majc, minc, codes = map(np.concatenate, (majc_parts, minc_parts, code_parts))
+    del majc_parts, minc_parts, code_parts
     t_major = np.array([tm for tm, _ in grid], dtype=float)
     # a NaN threshold flags nothing: the minor test when it is not in play
     t_minor = np.array([np.nan if tmm is None or not model.r else tmm for _, tmm in grid])
@@ -203,7 +207,7 @@ def sweep(
     u_minor, at_minor = np.unique(t_minor, return_inverse=True)
     shape = (len(u_major) + 1, len(u_minor) + 1)
     ranks = (_rank(majc, u_major), _rank(minc, u_minor))
-    return SweepResult(grid, *_grid_tally(dataset.labels, *ranks, shape, (at_major, at_minor)))
+    return SweepResult(grid, *_grid_tally(codes, *ranks, shape, (at_major, at_minor)))
 
 
 def _fmt(rate: float | None, digits: int = 4) -> str:

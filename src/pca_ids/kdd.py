@@ -21,6 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from math import inf
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -31,8 +32,11 @@ N_RAW_FEATURES = 41
 # Error handler for decoding record text, on files and stdin alike.
 DECODE_ERRORS = "surrogateescape"
 
-# How many malformed rows load_dataset keeps the line number and message of.
+# How many malformed rows a Dataset keeps the line number and message of.
 MAX_ERROR_DETAIL = 10
+
+# Lines that every file command reads ahead and handles as one block.
+CHUNK_LINES = 1024
 
 # 1-based positions of the token-valued features in the 41-column layout.
 CATEGORICAL_POSITIONS = (2, 3, 4)
@@ -83,6 +87,10 @@ ATTACK_CATEGORIES = (
     AttackCategory.U2R,
     AttackCategory.UNKNOWN,
 )
+
+# A record's class code is its category's index here: NORMAL is 0, then
+# the attack categories with UNKNOWN last.
+CLASSES = (AttackCategory.NORMAL, *ATTACK_CATEGORIES)
 
 # Standard KDD99 four-category taxonomy for the 22 training attack names.
 _TAXONOMY = {
@@ -237,9 +245,9 @@ def _parse_lines(
 ) -> Iterator[tuple[int, ConnectionRecord | None, str | None]]:
     """(line_no, record, None) per non-blank line, (line_no, None, error) if malformed.
 
-    The one line loop: ``load_dataset``, ``classify_stream`` and
-    ``classify_file`` read their lines through it. Private, so a tracer that
-    wraps public names adds no span per item.
+    The one line loop: ``classify_stream`` reads its lines through it, and
+    every file command through ``_blocks``. Private, so a tracer that wraps
+    public names adds no span per item.
     """
     for line_no, line in numbered:
         if not line.strip():
@@ -250,6 +258,17 @@ def _parse_lines(
             yield line_no, None, str(err)
             continue
         yield line_no, record, None
+
+
+def _blocks(
+    lines: Iterable[str], allow_unlabeled: bool = False
+) -> Iterator[list[tuple[int, ConnectionRecord | None, str | None]]]:
+    """The one block loop: the ``_parse_lines`` items of CHUNK_LINES lines
+    at a time, numbered from 1. ``classify_file`` and ``Dataset`` read
+    their files through it, and each handles a block as one matrix."""
+    numbered = enumerate(lines, start=1)
+    while chunk := list(islice(numbered, CHUNK_LINES)):
+        yield list(_parse_lines(chunk, allow_unlabeled))
 
 
 def open_text(path: str):
@@ -292,33 +311,72 @@ TRAFFIC10 = FeatureProfile("traffic10", (1, 2, 3, 4, 5, 6, 23, 24, 32, 33))
 PROFILES = {BASIC6.name: BASIC6, TRAFFIC10.name: TRAFFIC10}
 
 
-@dataclass
 class Dataset:
-    """Parsed records with labels plus parse bookkeeping."""
+    """One pass over labeled records in blocks, and the counts it made.
 
-    records: list[ConnectionRecord]
-    labels: list[AttackCategory]
-    source: str
-    malformed_count: int = 0
-    malformed_lines: list[tuple[int, str]] = field(default_factory=list)
+    ``Dataset(path)`` reads the file at ``path`` CHUNK_LINES lines at a
+    time and skips malformed rows; ``Dataset(source, blocks)`` takes lists
+    of parsed records. Iterating yields each block's records with their
+    class codes, indices into ``CLASSES``, and keeps neither: a Dataset is
+    read once. Its counts are set when the pass ends.
+
+    Raises (while iterating):
+        OSError: the file cannot be read.
+        EmptyDatasetError: no valid rows at all.
+    """
+
+    def __init__(self, source: str, blocks: Iterable[list[ConnectionRecord]] | None = None):
+        self.source = str(source)
+        self._blocks = self._read_file() if blocks is None else blocks
+        self.class_counts = [0] * len(CLASSES)
+        self.malformed_count = 0
+        # (line number, message) of the first MAX_ERROR_DETAIL malformed rows
+        self.malformed_lines: list[tuple[int, str]] = []
+
+    def _read_file(self) -> Iterator[list[ConnectionRecord]]:
+        malformed, detail = 0, []
+        with open_text(self.source) as handle:
+            for block in _blocks(handle):
+                errors = [(line_no, error) for line_no, _, error in block if error is not None]
+                malformed += len(errors)
+                detail += errors[: MAX_ERROR_DETAIL - len(detail)]
+                yield [record for _, record, _ in block if record is not None]
+        self.malformed_count, self.malformed_lines = malformed, detail
+
+    def __iter__(self) -> Iterator[tuple[list[ConnectionRecord], list[int]]]:
+        blocks, self._blocks = self._blocks, None
+        if blocks is None:
+            raise ValueError(f"{self.source} was read already; a Dataset is read once")
+        counts: Counter[int] = Counter()
+        code_of: dict[str | None, int] = {}  # each distinct label, once per pass
+        for records in blocks:
+            codes = []
+            for record in records:
+                code = code_of.get(record.label)
+                if code is None:  # a record with no label is UNKNOWN
+                    code = code_of[record.label] = CLASSES.index(
+                        categorize_attack(record.label or "")
+                    )
+                codes.append(code)
+            counts.update(codes)
+            yield records, codes
+        self.class_counts = [counts[code] for code in range(len(CLASSES))]
+        if not len(self):
+            raise EmptyDatasetError(f"no valid records in {self.source}")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(self.class_counts)
 
     @property
     def n_normal(self) -> int:
-        return sum(1 for lab in self.labels if not lab.is_attack)
+        return self.class_counts[0]
 
     @property
     def n_attack(self) -> int:
-        return len(self.labels) - self.n_normal
+        return len(self) - self.n_normal
 
     def category_counts(self) -> dict[AttackCategory, int]:
-        counts = Counter(self.labels)
-        return {cat: counts.get(cat, 0) for cat in ATTACK_CATEGORIES}
-
-    def normal_records(self) -> list[ConnectionRecord]:
-        return [rec for rec, lab in zip(self.records, self.labels) if not lab.is_attack]
+        return dict(zip(ATTACK_CATEGORIES, self.class_counts[1:]))
 
     def summary(self) -> str:
         cats = self.category_counts()
@@ -331,64 +389,48 @@ class Dataset:
         return "\n".join(lines)
 
 
-def load_dataset(path: str) -> Dataset:
-    """Load a labeled NSL-KDD text file.
+def encode_normals(
+    dataset: Dataset, profile: FeatureProfile
+) -> tuple[np.ndarray, dict[int, dict[str, int]]]:
+    """The encoded rows of a dataset's normal records, in one pass, and the
+    encoder learned from them: one token-to-code table per token field of
+    the profile, keyed by its 1-based position.
 
-    Malformed rows are skipped and counted (with the first
-    MAX_ERROR_DETAIL line numbers and messages retained); only I/O failures
-    or a fully unusable file abort the load.
+    Codes are dense 0..K-1 integers in sorted token order, so the same
+    records always give the same mapping; an unseen token maps to code K,
+    one past the largest. A block's new tokens take the next codes as they
+    first appear, so the block is encoded at once; at the end the codes,
+    and the matrix's token columns, are renumbered into sorted order.
 
     Raises:
-        OSError: the file cannot be read.
-        EmptyDatasetError: no valid rows at all.
+        EmptyDatasetError: no normal records, once the pass has ended.
     """
-    records: list[ConnectionRecord] = []
-    labels: list[AttackCategory] = []
-    label_of: dict[str, AttackCategory] = {}
-    malformed = 0
-    detail: list[tuple[int, str]] = []
-
-    with open_text(path) as handle:
-        for line_no, record, error in _parse_lines(enumerate(handle, start=1)):
-            if record is None:
-                malformed += 1
-                if len(detail) < MAX_ERROR_DETAIL:
-                    detail.append((line_no, error))
-                continue
-            records.append(record)
-            name = record.label or ""
-            label = label_of.get(name)
-            if label is None:
-                label = label_of[name] = categorize_attack(name)
-            labels.append(label)
-
-    if not records:
-        raise EmptyDatasetError(f"no valid records in {path}")
-    return Dataset(records, labels, str(path), malformed, detail)
-
-
-def build_encoder(
-    records: Sequence[ConnectionRecord], profile: FeatureProfile
-) -> dict[int, dict[str, int]]:
-    """The encoder: a token-to-code table per token field of the profile,
-    keyed by its 1-based position, from observed training records.
-
-    Codes are dense 0..K-1 integers assigned in sorted token order, so a
-    rebuild over the same data always yields the same mapping. Unknown
-    tokens map to code K, one past the largest.
-    """
-    if not records:
-        raise EmptyDatasetError("cannot build an encoder from zero records")
-
-    tokens: dict[int, set[str]] = {position: set() for position in profile.categorical_indices}
-    for rec in records:
-        fields = rec.text.split(",")
-        for position, seen in tokens.items():
-            seen.add(fields[position - 1])
-    return {
-        position: {tok: code for code, tok in enumerate(sorted(seen))}
-        for position, seen in tokens.items()
+    encoder: dict[int, dict[str, int]] = {
+        position: {} for position in profile.categorical_indices
     }
+    last = max(encoder, default=0)
+    # The rows go to one growing buffer, not to a list of block matrices:
+    # joining those would hold every row twice, and the freed blocks would
+    # stay in the process's heap.
+    rows = bytearray()
+    for records, codes in dataset:
+        normals = [record for record, code in zip(records, codes) if not code]
+        for record in normals:
+            fields = record.text.split(",", last)
+            for position, table in encoder.items():
+                table.setdefault(fields[position - 1], len(table))
+        rows += encode_matrix(normals, profile, encoder)[0].tobytes()
+    if not dataset.n_normal:
+        raise EmptyDatasetError(f"no normal records in {dataset.source}")
+    matrix = np.frombuffer(rows, dtype=float).reshape(-1, profile.p)
+    for position, table in encoder.items():
+        order = sorted(table)
+        new_code = np.empty(len(order))
+        new_code[[table[token] for token in order]] = np.arange(len(order))
+        column = profile.indices.index(position)
+        matrix[:, column] = new_code[matrix[:, column].astype(np.intp)]
+        encoder[position] = {token: code for code, token in enumerate(order)}
+    return matrix, encoder
 
 
 class FeatureVector(NamedTuple):
@@ -406,8 +448,9 @@ def extract_features(
     """Encode a record into its profile columns as floats, in index order.
 
     The one row encoder: ``encode_matrix`` fills each of its rows from it.
+    The text is split only as far as the profile's last field.
     """
-    raw = record.text.split(",")
+    raw = record.text.split(",", profile.indices[-1])
     categorical = profile.categorical_indices
     values = []
     unknown = False

@@ -96,13 +96,20 @@ def correlation_matrix(
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an n x p matrix, got shape {data.shape}")
-    n = data.shape[0]
-    if n < 2:
-        raise TooFewRows(f"need at least 2 rows, got {n}")
     if params is None:
         params = fit_standardizer(data)
+    return standardized_correlation(standardize(data, params), params)
 
-    z = standardize(data, params)
+
+def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np.ndarray:
+    """``correlation_matrix`` of the data that ``params`` standardized to ``z``.
+
+    ``fit`` standardizes its training matrix once, for this and for the
+    projection.
+    """
+    n = z.shape[0]
+    if n < 2:
+        raise TooFewRows(f"need at least 2 rows, got {n}")
     r = (z.T @ z) / (n - 1)
     r = 0.5 * (r + r.T)
     np.clip(r, -1.0, 1.0, out=r)

@@ -11,21 +11,15 @@ from typing import Sequence
 import numpy as np
 
 from . import detector
-from .kdd import (
-    Dataset,
-    EmptyDatasetError,
-    FeatureProfile,
-    build_encoder,
-    encode_matrix,
-)
+from .kdd import Dataset, FeatureProfile, encode_normals
 from .mvstats import (
     EigenPairs,
     StandardizationParams,
-    correlation_matrix,
     eigen_sym,
     fit_standardizer,
     project,
     standardize,
+    standardized_correlation,
 )
 
 
@@ -77,7 +71,7 @@ class PcaModel:
     """Everything the online phase needs, immutable once fitted."""
 
     profile: FeatureProfile
-    encoder: dict[int, dict[str, int]]  # token tables, from kdd.build_encoder
+    encoder: dict[int, dict[str, int]]  # token tables, from kdd.encode_normals
     standardizer: StandardizationParams
     eigen: EigenPairs
     q: int
@@ -145,25 +139,21 @@ def fit(
 ) -> PcaModel:
     """Run the full offline pipeline on the normal records of a dataset.
 
-    Filters to normal-labeled records, builds the categorical encoder,
-    standardizes, eigendecomposes the correlation matrix, selects q and r
+    Reads the dataset once, keeping only the encoded normals and the
+    encoder learned from them (``kdd.encode_normals``); standardizes them
+    once, eigendecomposes their correlation matrix, selects q and r
     (honoring overrides, shrinking r if q + r would exceed p), scores the
     training normals, and calibrates both thresholds.
 
     Raises:
-        EmptyDatasetError: no normal records to train on.
+        EmptyDatasetError: no valid records, or no normal records to train on.
         ValueError: a feature's mean or std over the training normals is
             not finite (its values or their squares overflow a float), or
             q exceeds p.
         NoConvergence: propagated from the eigensolver.
     """
     config = config or TrainerConfig()
-    normals = training.normal_records()
-    if not normals:
-        raise EmptyDatasetError(f"no normal records in {training.source}")
-
-    encoder = build_encoder(normals, profile)
-    X, _ = encode_matrix(normals, profile, encoder)
+    X, encoder = encode_normals(training, profile)
     standardizer = fit_standardizer(X)
     finite = np.isfinite(standardizer.mean) & np.isfinite(standardizer.std)
     if not finite.all():
@@ -172,8 +162,9 @@ def fit(
             f"non-finite mean or std of {', '.join(names)} over the training "
             "normals: values too large to standardize"
         )
-    R = correlation_matrix(X, standardizer)
-    eigen = eigen_sym(R)
+    Z = standardize(X, standardizer)
+    del X  # the one n x p matrix kept from here on is Z
+    eigen = eigen_sym(standardized_correlation(Z, standardizer))
     p = profile.p
 
     auto_q = select_major(eigen.values, config.variance_target)
@@ -191,7 +182,8 @@ def fit(
         )
         r = shrunk
 
-    Y = project(standardize(X, standardizer), eigen)
+    Y = project(Z, eigen)
+    del Z
     majc, minc = detector._score_sums(Y, eigen.floored_values, q, r)
     t_major, t_minor = calibrate_thresholds(
         majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
@@ -200,7 +192,7 @@ def fit(
     metadata = {
         "training_file": training.source,
         "n_records": len(training),
-        "n_normal": len(normals),
+        "n_normal": training.n_normal,
         "n_malformed": training.malformed_count,
         "auto_q": auto_q,
         "auto_r": auto_r,

@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pca_ids import BASIC6, TRAFFIC10, TrainerConfig, fit, load_dataset
+from pca_ids import (
+    BASIC6,
+    TRAFFIC10,
+    Dataset,
+    TrainerConfig,
+    categorize_attack,
+    fit,
+    parse_record,
+)
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI run
 # cannot fail on an example no earlier run has seen.
@@ -149,19 +157,48 @@ def corpus_file(corpus_lines, tmp_path_factory) -> str:
     return str(path)
 
 
-@pytest.fixture(scope="session")
-def corpus_dataset(corpus_file):
-    return load_dataset(corpus_file)
+def read_through(dataset: Dataset) -> Dataset:
+    """``dataset`` after one pass that keeps nothing, its counts set."""
+    for _ in dataset:
+        pass
+    return dataset
+
+
+@pytest.fixture()
+def corpus_dataset(corpus_file) -> Dataset:
+    """A Dataset over the corpus file, not read yet: a Dataset is read once."""
+    return Dataset(corpus_file)
 
 
 @pytest.fixture(scope="session")
-def basic6_model(corpus_dataset):
-    return fit(corpus_dataset, BASIC6)
+def corpus_counts(corpus_file) -> Dataset:
+    """The corpus file's Dataset, read through: its counts."""
+    return read_through(Dataset(corpus_file))
 
 
 @pytest.fixture(scope="session")
-def traffic10_model(corpus_dataset):
-    return fit(corpus_dataset, TRAFFIC10, TrainerConfig(q_override=3, r_override=2))
+def corpus_records(corpus_lines) -> list:
+    return [parse_record(line) for line in corpus_lines]
+
+
+@pytest.fixture(scope="session")
+def corpus_labels(corpus_records) -> list:
+    return [categorize_attack(record.label) for record in corpus_records]
+
+
+@pytest.fixture(scope="session")
+def corpus_normals(corpus_records, corpus_labels) -> list:
+    return [record for record, label in zip(corpus_records, corpus_labels) if not label.is_attack]
+
+
+@pytest.fixture(scope="session")
+def basic6_model(corpus_file):
+    return fit(Dataset(corpus_file), BASIC6)
+
+
+@pytest.fixture(scope="session")
+def traffic10_model(corpus_file):
+    return fit(Dataset(corpus_file), TRAFFIC10, TrainerConfig(q_override=3, r_override=2))
 
 
 @pytest.fixture(scope="session")
@@ -175,6 +212,12 @@ def kdd_path() -> str:
     return path
 
 
+@pytest.fixture()
+def kdd_dataset(kdd_path) -> Dataset:
+    return Dataset(kdd_path)
+
+
 @pytest.fixture(scope="session")
-def kdd_dataset(kdd_path):
-    return load_dataset(kdd_path)
+def kdd_records(kdd_path) -> list:
+    """The valid records of the real file."""
+    return [record for block, _ in Dataset(kdd_path) for record in block]

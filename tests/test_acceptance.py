@@ -22,7 +22,6 @@ from pca_ids.kdd import (
     TRAFFIC10,
     AttackCategory,
     Dataset,
-    categorize_attack,
     parse_record,
 )
 from pca_ids.mvstats import (
@@ -35,7 +34,7 @@ from pca_ids.mvstats import (
 from pca_ids.cli import main as cli_main
 from pca_ids.trainer import TrainerConfig, fit
 
-from .conftest import make_corpus
+from .conftest import make_corpus, read_through
 from .oracles import cubic_eigenvalues, mahalanobis_sq
 
 EIGEN_SUM_TOL = 1e-9          # relative to dimension
@@ -183,10 +182,8 @@ def _scale_field(line: str, position: int, factor: int) -> str:
     return ",".join(parts)
 
 
-def _dataset_from_lines(lines, source):
-    records = [parse_record(line) for line in lines]
-    labels = [categorize_attack(rec.label or "") for rec in records]
-    return Dataset(records=records, labels=labels, source=source)
+def _records(lines):
+    return [parse_record(line) for line in lines]
 
 
 def test_scale_invariance_of_verdicts():
@@ -194,13 +191,12 @@ def test_scale_invariance_of_verdicts():
     scaled = [_scale_field(line, 5, 1000) for line in lines]
     config = TrainerConfig(q_override=3, r_override=2)
 
-    base_ds = _dataset_from_lines(lines, "base")
-    scaled_ds = _dataset_from_lines(scaled, "scaled")
-    base_model = fit(base_ds, TRAFFIC10, config)
-    scaled_model = fit(scaled_ds, TRAFFIC10, config)
+    base, scaled = _records(lines), _records(scaled)
+    base_model = fit(Dataset("base", [base]), TRAFFIC10, config)
+    scaled_model = fit(Dataset("scaled", [scaled]), TRAFFIC10, config)
 
-    majc_a, minc_a, _ = score_records(base_model, base_ds.records)
-    majc_b, minc_b, _ = score_records(scaled_model, scaled_ds.records)
+    majc_a, minc_a, _ = score_records(base_model, base)
+    majc_b, minc_b, _ = score_records(scaled_model, scaled)
 
     pred_a = (majc_a > base_model.t_major) | (minc_a > base_model.t_minor)
     pred_b = (majc_b > scaled_model.t_major) | (minc_b > scaled_model.t_minor)
@@ -272,12 +268,12 @@ def test_eigensolver_matches_cubic_roots():
 
 
 @pytest.fixture(scope="module")
-def step1_sweep(kdd_dataset):
-    model = fit(kdd_dataset, BASIC6, TrainerConfig(q_override=3, r_override=0))
-    majc, _, _ = score_records(model, kdd_dataset.records)
+def step1_sweep(kdd_path, kdd_records):
+    model = fit(Dataset(kdd_path), BASIC6, TrainerConfig(q_override=3, r_override=0))
+    majc, _, _ = score_records(model, kdd_records)
     quantiles = np.unique(np.quantile(majc, np.linspace(0.30, 0.9995, 800)))
     grid = [(float(t), None) for t in quantiles]
-    return sweep(model, kdd_dataset, grid)
+    return sweep(model, Dataset(kdd_path), grid)
 
 
 def _qualifying(result, recall_floor, success_floor):
@@ -298,6 +294,7 @@ def _best_report(result, qualifying):
 
 
 def test_dataset_fingerprint(kdd_dataset):
+    read_through(kdd_dataset)
     cats = kdd_dataset.category_counts()
     ok = len(kdd_dataset) == 25192 and all(
         cats[cat] == expected for cat, expected in EXPECTED_EXIST.items()
@@ -327,13 +324,13 @@ def test_six_feature_operating_point(step1_sweep):
     assert best is not None
 
 
-def test_ten_feature_operating_point(kdd_dataset):
-    model = fit(kdd_dataset, TRAFFIC10, TrainerConfig(q_override=3, r_override=2))
-    majc, minc, _ = score_records(model, kdd_dataset.records)
+def test_ten_feature_operating_point(kdd_path, kdd_records):
+    model = fit(Dataset(kdd_path), TRAFFIC10, TrainerConfig(q_override=3, r_override=2))
+    majc, minc, _ = score_records(model, kdd_records)
     major_grid = np.unique(np.quantile(majc, np.linspace(0.50, 0.9995, 60)))
     minor_grid = np.unique(np.quantile(minc, np.linspace(0.50, 0.9995, 60)))
     grid = [(float(tm), float(tmm)) for tm in major_grid for tmm in minor_grid]
-    result = sweep(model, kdd_dataset, grid)
+    result = sweep(model, Dataset(kdd_path), grid)
     qualifying = _qualifying(result, RECALL_FLOOR_STEP2, SUCCESS_FLOOR_STEP2)
     _, best = _best_report(result, qualifying)
     detail = (

@@ -20,6 +20,7 @@ from pca_ids.cli import grid_spec, main
 from pca_ids.kdd import MalformedRow, parse_record
 from pca_ids.modelio import load_model
 
+from .conftest import read_through
 from .test_kdd import line_for
 
 
@@ -430,7 +431,7 @@ class TestClassify:
     def test_file_blocks_match_stdin_byte_for_byte(
         self, preset_model, awkward, capsys, monkeypatch
     ):
-        monkeypatch.setattr(detector, "CHUNK_LINES", 3)
+        monkeypatch.setattr(kdd, "CHUNK_LINES", 3)
         from_file = run_cli_without_warnings(
             ["classify", "--model", preset_model, "--input", str(awkward)], capsys
         )
@@ -644,7 +645,7 @@ class TestSweep:
 
 
 class TestMalformedLinesNote:
-    """train, evaluate and sweep name the lines load_dataset skipped, on stderr."""
+    """train, evaluate and sweep name the lines their pass skipped, on stderr."""
 
     COMMANDS = ("train", "evaluate", "sweep")
 
@@ -680,12 +681,86 @@ class TestMalformedLinesNote:
         code, _, err = run_cli(self.argv(command, trained, corpus_file, tmp_path), capsys)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_valid_record_is_the_error_alone(self, command, trained, tmp_path, capsys):
+        data = tmp_path / "damaged.txt"
+        data.write_text("1,2,3\n\nx\n")
+        code, out, err = run_cli(self.argv(command, trained, str(data), tmp_path), capsys)
+        assert (code, out, err) == (1, "", f"error: no valid records in {data}\n")
+
+    def test_no_normal_record_names_the_skipped_lines_first(
+        self, trained, corpus_lines, tmp_path, capsys
+    ):
+        attacks = [line for line in corpus_lines if ",normal" not in line]
+        data = tmp_path / "attacks.txt"
+        data.write_text(attacks[0] + "\n1,2,3\n" + "\n".join(attacks[1:]) + "\n")
+        code, out, err = run_cli(self.argv("train", trained, str(data), tmp_path), capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "skipped 1 malformed line; first: line 2: expected 42 or 43 fields, got 3\n"
+            f"error: no normal records in {data}\n"
+        )
+
+
+class TestBlocks:
+    """Every file command reads its file kdd.CHUNK_LINES lines at a time;
+    the block size changes no byte of any output."""
+
+    @pytest.fixture()
+    def files(self, corpus_lines, tmp_path):
+        # Tokens first appear out of sorted order; a normal row in the last
+        # block brings a service that sorts first, so every code of that
+        # field is renumbered; lines 14 and 15 are malformed, the last and
+        # the first line of a block of 1, 2 and 7 lines.
+        late = corpus_lines[0].split(",")
+        late[2], late[41:] = "aaa_late", ["normal"]
+        train = [*corpus_lines[:300], ",".join(late)]
+        test = list(corpus_lines[300:])
+        for lines in (train, test):
+            lines[13:13] = ["1,2,3", "x"]
+        paths = []
+        for name, lines in (("train", train), ("test", test)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            paths.append(str(path))
+        return paths
+
+    def outputs(self, files, tmp_path, capsys) -> list:
+        train, test = files
+        model = str(tmp_path / "model.json")
+        sweep = ["sweep", "--model", model, "--data", test, "--tm-grid", "1:40:9"]
+        train_argv = ["train", "--data", train, "--preset", "step2", "--out", model]
+        results = [run_cli(train_argv, capsys)]
+        results.append(Path(model).read_bytes())
+        for argv in (
+            ["evaluate", "--model", model, "--data", test],
+            ["evaluate", "--model", model, "--data", test, "--format", "machine"],
+            sweep,
+            [*sweep, "--tmm-grid", "0.5:20:5"],
+            ["classify", "--model", model, "--input", test],
+        ):
+            results.append(run_cli(argv, capsys))
+        return results
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_block_size_changes_no_output(self, block, files, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        expected = self.outputs(files, tmp_path, capsys)
+        train, model_bytes, evaluate = expected[:3]
+        assert train[0] == 0
+        assert train[2].startswith("skipped 2 malformed lines; first: line 14: ")
+        assert evaluate[2].startswith("skipped 2 malformed lines; first: line 14: ")
+        assert json.loads(model_bytes)["encoder"]["3"]["aaa_late"] == 0
+
+        monkeypatch.setattr(kdd, "CHUNK_LINES", block)
+        assert self.outputs(files, tmp_path, capsys) == expected
+
 
 def test_load_and_classify_name_the_same_malformed_lines(
     trained, corpus_lines, tmp_path, capsys
 ):
-    """load_dataset and classify --input read lines through one loop, so they
-    skip the same blank lines and number the same damaged ones."""
+    """A Dataset and classify --input read lines through one block loop, so
+    they skip the same blank lines and number the same damaged ones."""
     lines = [line.split(",") for line in corpus_lines[:20]]
     lines[2] = [""]
     lines[4] = ["1", "2", "3"]
@@ -696,7 +771,7 @@ def test_load_and_classify_name_the_same_malformed_lines(
     data = tmp_path / "damaged.txt"
     data.write_text("".join(",".join(fields) + "\n" for fields in lines))
 
-    skipped = [line_no for line_no, _ in kdd.load_dataset(str(data)).malformed_lines]
+    skipped = [line_no for line_no, _ in read_through(kdd.Dataset(str(data))).malformed_lines]
     code, out, _ = run_cli(["classify", "--model", trained, "--input", str(data)], capsys)
     assert code == 0
     reported = [

@@ -20,7 +20,7 @@ from pca_ids.detector import (
     score_records,
 )
 from pca_ids.evaluation import evaluate
-from pca_ids.kdd import BASIC6, PROFILES, Dataset, categorize_attack, encode_matrix, parse_record
+from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, parse_record
 from pca_ids.mvstats import project, standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
@@ -29,10 +29,10 @@ from .test_kdd import fields_for, line_for
 
 
 @pytest.fixture(scope="module", params=sorted(PRESETS))
-def preset_model(request, corpus_dataset):
+def preset_model(request, corpus_file):
     preset = PRESETS[request.param]
     config = TrainerConfig(q_override=preset["q"], r_override=preset["r"])
-    return fit(corpus_dataset, PROFILES[preset["profile"]], config)
+    return fit(Dataset(corpus_file), PROFILES[preset["profile"]], config)
 
 
 @pytest.fixture()
@@ -60,10 +60,10 @@ class TestScores:
         y, eigenvalues = score_setup
         assert _score_sums(y, eigenvalues, 3, 0)[1] == 0.0
 
-    def test_full_major_score_is_mahalanobis(self, basic6_model, corpus_dataset):
+    def test_full_major_score_is_mahalanobis(self, basic6_model, corpus_normals):
         # with q = p the score is the full quadratic form z' R^-1 z
         model = basic6_model
-        normals = corpus_dataset.normal_records()
+        normals = corpus_normals
         X, _ = encode_matrix(normals, model.profile, model.encoder)
         from pca_ids.mvstats import correlation_matrix
 
@@ -91,13 +91,9 @@ class TestScores:
 class TestClassify:
     def test_record_equal_to_training_mean_is_normal(self):
         # a constant training set puts the mean exactly on the record
-        from pca_ids.kdd import Dataset, categorize_attack
-        from pca_ids.trainer import fit
-
         line = ",".join(["3", "tcp", "http", "SF"] + ["7"] * 37 + ["normal"])
         records = [parse_record(line) for _ in range(10)]
-        labels = [categorize_attack("normal")] * 10
-        model = fit(Dataset(records=records, labels=labels, source="constant"), BASIC6)
+        model = fit(Dataset("constant", [records]), BASIC6)
 
         verdict = classify(model, records[0])
         assert verdict.major_score == 0.0
@@ -106,8 +102,8 @@ class TestClassify:
         pinned = dataclasses.replace(model, t_major=0.5)
         assert not classify(pinned, records[0]).is_attack
 
-    def test_score_equal_to_threshold_stays_normal(self, basic6_model, corpus_dataset):
-        record = corpus_dataset.records[0]
+    def test_score_equal_to_threshold_stays_normal(self, basic6_model, corpus_records):
+        record = corpus_records[0]
         baseline = classify(basic6_model, record)
         pinned = dataclasses.replace(basic6_model, t_major=baseline.major_score)
         verdict = classify(pinned, record)
@@ -119,10 +115,10 @@ class TestClassify:
         )
         assert classify(just_below, record).is_attack
 
-    def test_raising_threshold_never_creates_attacks(self, basic6_model, corpus_dataset):
+    def test_raising_threshold_never_creates_attacks(self, basic6_model, corpus_records):
         low = basic6_model
         high = dataclasses.replace(basic6_model, t_major=basic6_model.t_major * 4.0)
-        for record in corpus_dataset.records[:100]:
+        for record in corpus_records[:100]:
             if classify(high, record).is_attack:
                 assert classify(low, record).is_attack
 
@@ -135,56 +131,56 @@ class TestClassify:
         relaxed = dataclasses.replace(basic6_model, t_major=1e18)
         assert not classify(relaxed, record).is_attack
 
-    def test_classify_is_pure(self, basic6_model, corpus_dataset):
-        record = corpus_dataset.records[5]
+    def test_classify_is_pure(self, basic6_model, corpus_records):
+        record = corpus_records[5]
         first = classify(basic6_model, record)
         second = classify(basic6_model, record)
         assert first == second
 
-    def test_trigger_labels(self, traffic10_model, corpus_dataset):
-        majc, minc, _ = score_records(traffic10_model, corpus_dataset.records)
+    def test_trigger_labels(self, traffic10_model, corpus_records):
+        majc, minc, _ = score_records(traffic10_model, corpus_records)
         seen = set()
-        for record in corpus_dataset.records:
+        for record in corpus_records:
             seen.add(classify(traffic10_model, record).trigger)
         assert Trigger.NONE in seen
         assert seen - {Trigger.NONE}  # at least one attack trigger on this corpus
 
-    def test_detects_planted_attacks(self, traffic10_model, corpus_dataset):
-        verdicts = [classify(traffic10_model, r) for r in corpus_dataset.records]
+    def test_detects_planted_attacks(self, traffic10_model, corpus_records, corpus_labels):
+        verdicts = [classify(traffic10_model, r) for r in corpus_records]
         attacks = [
             v.is_attack
-            for v, lab in zip(verdicts, corpus_dataset.labels)
+            for v, lab in zip(verdicts, corpus_labels)
             if lab.is_attack
         ]
         assert np.mean(attacks) >= 0.95
         normals = [
             v.is_attack
-            for v, lab in zip(verdicts, corpus_dataset.labels)
+            for v, lab in zip(verdicts, corpus_labels)
             if not lab.is_attack
         ]
         assert np.mean(normals) <= 0.15
 
 
 class TestScoreRecords:
-    def test_matches_classify_exactly(self, basic6_model, corpus_dataset):
-        majc, minc, unknown = score_records(basic6_model, corpus_dataset.records)
-        for i in (0, 17, 101, len(corpus_dataset) - 1):
-            verdict = classify(basic6_model, corpus_dataset.records[i])
+    def test_matches_classify_exactly(self, basic6_model, corpus_records):
+        majc, minc, unknown = score_records(basic6_model, corpus_records)
+        for i in (0, 17, 101, len(corpus_records) - 1):
+            verdict = classify(basic6_model, corpus_records[i])
             assert majc[i] == verdict.major_score
             assert minc[i] == verdict.minor_score
 
-    def test_classify_equals_score_records_bitwise(self, preset_model, corpus_dataset):
+    def test_classify_equals_score_records_bitwise(self, preset_model, corpus_records):
         model = preset_model
-        majc, minc, unknown = score_records(model, corpus_dataset.records)
-        for i, record in enumerate(corpus_dataset.records):
+        majc, minc, unknown = score_records(model, corpus_records)
+        for i, record in enumerate(corpus_records):
             verdict = classify(model, record)
             assert verdict.major_score == majc[i]
             assert verdict.minor_score == minc[i]
             assert verdict.unknown_token == unknown[i]
 
-    def test_fit_thresholds_are_nearest_rank_quantiles(self, preset_model, corpus_dataset):
+    def test_fit_thresholds_are_nearest_rank_quantiles(self, preset_model, corpus_normals):
         model = preset_model
-        majc, minc, _ = score_records(model, corpus_dataset.normal_records())
+        majc, minc, _ = score_records(model, corpus_normals)
         config = model.metadata["config"]
 
         def nearest_rank(scores, alpha):
@@ -232,9 +228,9 @@ class TestScoreRecords:
         raise_minor=st.floats(0.0, 50.0),
     )
     def test_raising_thresholds_never_creates_attacks(
-        self, traffic10_model, corpus_dataset, data, t_major, t_minor, raise_major, raise_minor
+        self, traffic10_model, corpus_records, data, t_major, t_minor, raise_major, raise_minor
     ):
-        record = data.draw(st.sampled_from(corpus_dataset.records))
+        record = data.draw(st.sampled_from(corpus_records))
         low = dataclasses.replace(traffic10_model, t_major=t_major, t_minor=t_minor)
         high = dataclasses.replace(
             traffic10_model, t_major=t_major + raise_major, t_minor=t_minor + raise_minor
@@ -309,10 +305,8 @@ class TestNonFiniteScores:
     def test_every_accepted_line_scores_finite_or_is_an_attack(self, case):
         name, q, r, train, probes = case
         profile = PROFILES[name]
-        normal = categorize_attack("normal")
         records = [parse_record(profile_line(profile, row) + ",normal") for row in train]
-        training = Dataset(records, [normal] * len(records), "train")
-        model = fit(training, profile, TrainerConfig(q_override=q, r_override=r))
+        model = fit(Dataset("train", [records]), profile, TrainerConfig(q_override=q, r_override=r))
         with np.errstate(over="ignore"):
             for row in probes:
                 record = parse_record(profile_line(profile, row), allow_unlabeled=True)
@@ -320,7 +314,8 @@ class TestNonFiniteScores:
                 finite = math.isfinite(verdict.major_score) and math.isfinite(verdict.minor_score)
                 assert finite or verdict.is_attack
                 # the matrix path (score_records and the tally) flags the same record
-                report = evaluate(model, Dataset([record], [normal], "probe"))
+                probe = record._replace(label="normal")
+                report = evaluate(model, Dataset("probe", [[probe]]))
                 assert report.cm.fp == int(verdict.is_attack)
 
 
@@ -348,8 +343,8 @@ class TestClassifyStream:
         items = list(classify_stream(basic6_model, [unlabeled]))
         assert items[0].verdict is not None
 
-    def test_verdict_line_format(self, basic6_model, corpus_dataset):
-        verdict = classify(basic6_model, corpus_dataset.records[0])
+    def test_verdict_line_format(self, basic6_model, corpus_records):
+        verdict = classify(basic6_model, corpus_records[0])
         line = verdict.to_line()
         assert line.startswith(("verdict=normal ", "verdict=attack "))
         assert " majc=" in line and " minc=" in line and " trigger=" in line

@@ -19,7 +19,7 @@ from pca_ids.evaluation import (
     metrics,
     sweep,
 )
-from pca_ids.kdd import AttackCategory, categorize_attack
+from pca_ids.kdd import CLASSES, AttackCategory, Dataset, categorize_attack
 
 from .oracles import loop_sweep_counts
 
@@ -31,7 +31,7 @@ def labels_of(*names):
 def sweep_scores(majc, minc, labels, grid, r):
     """``sweep`` over given scores: the tally alone, with scoring stubbed out."""
     scores = (np.array(majc, dtype=float), np.array(minc, dtype=float), np.zeros(len(majc), bool))
-    dataset = SimpleNamespace(records=[None] * len(labels), labels=labels)
+    dataset = [([None] * len(labels), [CLASSES.index(label) for label in labels])]  # one block
     with mock.patch.object(evaluation, "score_records", lambda *_: scores):
         return sweep(SimpleNamespace(r=r), dataset, grid)
 
@@ -116,20 +116,20 @@ class TestPerCategory:
         table = tally([True, False], labels).categories
         assert table[AttackCategory.UNKNOWN].exist == 1
 
-    def test_exist_counts_from_corpus(self, corpus_dataset):
-        preds = [False] * len(corpus_dataset)
-        table = tally(preds, corpus_dataset.labels).categories
-        cats = corpus_dataset.category_counts()
+    def test_exist_counts_from_corpus(self, corpus_labels, corpus_counts):
+        preds = [False] * len(corpus_labels)
+        table = tally(preds, corpus_labels).categories
+        cats = corpus_counts.category_counts()
         assert table[AttackCategory.DOS].exist == cats[AttackCategory.DOS]
         assert table[AttackCategory.DOS].detected == 0
 
 
 class TestEvaluateAndSweep:
-    def test_single_point_sweep_matches_evaluate(self, basic6_model, corpus_dataset):
-        report = evaluate(basic6_model, corpus_dataset)
+    def test_single_point_sweep_matches_evaluate(self, basic6_model, corpus_file):
+        report = evaluate(basic6_model, Dataset(corpus_file))
         result = sweep(
             basic6_model,
-            corpus_dataset,
+            Dataset(corpus_file),
             [(basic6_model.t_major, basic6_model.t_minor)],
         )
         assert result.best == 0

@@ -12,17 +12,19 @@ from pca_ids.kdd import (
     TRAFFIC10,
     AttackCategory,
     ConnectionRecord,
+    Dataset,
     EmptyDatasetError,
     FeatureProfile,
     MalformedRow,
-    build_encoder,
     categorize_attack,
+    encode_matrix,
+    encode_normals,
     extract_features,
-    load_dataset,
     parse_record,
 )
 
 from . import oracles
+from .conftest import make_corpus, read_through
 
 
 def fields_for(**positions) -> list[str]:
@@ -338,28 +340,28 @@ class TestCategorize:
 
 
 class TestLoadDataset:
-    def test_counts_match_generator(self, corpus_dataset):
+    def test_counts_match_generator(self, corpus_counts):
         from .conftest import CORPUS_COUNTS
 
-        assert len(corpus_dataset) == sum(CORPUS_COUNTS.values())
-        assert corpus_dataset.n_normal == CORPUS_COUNTS["normal"]
-        cats = corpus_dataset.category_counts()
+        assert len(corpus_counts) == sum(CORPUS_COUNTS.values())
+        assert corpus_counts.n_normal == CORPUS_COUNTS["normal"]
+        cats = corpus_counts.category_counts()
         assert cats[AttackCategory.DOS] == CORPUS_COUNTS["neptune"]
         assert cats[AttackCategory.PROBE] == CORPUS_COUNTS["satan"]
         assert cats[AttackCategory.R2L] == CORPUS_COUNTS["guess_passwd"]
         assert cats[AttackCategory.U2R] == CORPUS_COUNTS["rootkit"]
         assert cats[AttackCategory.UNKNOWN] == CORPUS_COUNTS["mscan"]
-        assert corpus_dataset.malformed_count == 0
+        assert corpus_counts.malformed_count == 0
 
-    def test_category_sum_invariant(self, corpus_dataset):
-        cats = corpus_dataset.category_counts()
-        assert corpus_dataset.n_normal + sum(cats.values()) == len(corpus_dataset)
+    def test_category_sum_invariant(self, corpus_counts):
+        cats = corpus_counts.category_counts()
+        assert corpus_counts.n_normal + sum(cats.values()) == len(corpus_counts)
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path):
         path = tmp_path / "mixed.txt"
         good = line_for(label="normal")
         path.write_text(good + "\n" + "1,2,3\n")
-        ds = load_dataset(str(path))
+        ds = read_through(Dataset(str(path)))
         assert len(ds) == 1
         assert ds.malformed_count == 1
         assert ds.malformed_lines[0][0] == 2
@@ -369,37 +371,98 @@ class TestLoadDataset:
         good = line_for(label="normal").encode()
         bad = line_for(label="normal", p3="http").replace("http", "ht\xfftp", 1)
         path.write_bytes(good + b"\n" + bad.encode("latin-1") + b"\n" + good + b"\n")
-        ds = load_dataset(str(path))
+        ds = read_through(Dataset(str(path)))
         assert len(ds) == 2
         assert ds.malformed_count == 1
         assert ds.malformed_lines[0][0] == 2
         assert "UTF-8" in ds.malformed_lines[0][1]
 
-    def test_a_loaded_record_holds_at_most_400_bytes(self, corpus_file):
-        # one string of the 41 fields per record; a tuple of 41 held about 870 B
-        load_dataset(corpus_file)  # first-use allocations: the pattern, the labels
-        gc.collect()
-        tracemalloc.start()
-        try:
-            dataset = load_dataset(corpus_file)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert held / len(dataset) <= 400
+    def test_blocks_carry_records_and_class_codes(
+        self, corpus_file, corpus_records, corpus_labels, monkeypatch
+    ):
+        monkeypatch.setattr(kdd, "CHUNK_LINES", 100)
+        blocks = list(Dataset(corpus_file))
+        assert [len(records) for records, _ in blocks] == [100] * 5 + [6]
+        assert [r for records, _ in blocks for r in records] == corpus_records
+        codes = [code for _, block_codes in blocks for code in block_codes]
+        assert [kdd.CLASSES[code] for code in codes] == corpus_labels
+
+    def test_class_code_of_any_label_is_its_category(self):
+        labels = ["normal", "Neptune.", "mscan", "smurf", None, "NORMAL", "mscan", None]
+        records = [ConnectionRecord(",".join(fields_for()), label) for label in labels]
+        dataset = Dataset("labels", [records[:4], records[4:]])
+        codes = [code for _, block_codes in dataset for code in block_codes]
+        expected = [categorize_attack(label or "") for label in labels]
+        assert [kdd.CLASSES[code] for code in codes] == expected
+        assert expected[4] is AttackCategory.UNKNOWN
+        assert dataset.n_normal == 2
+
+    def test_counts_are_set_when_the_pass_ends(self, corpus_file):
+        dataset = Dataset(corpus_file)
+        blocks = iter(dataset)
+        next(blocks)
+        assert len(dataset) == 0
+        for _ in blocks:
+            pass
+        assert len(dataset) == len(make_corpus())
+
+    def test_a_dataset_is_read_once(self, corpus_dataset):
+        read_through(corpus_dataset)
+        with pytest.raises(ValueError, match="read once"):
+            read_through(corpus_dataset)
+
+    @pytest.mark.parametrize(
+        "command, bound", [("evaluate", 64), ("sweep", 64), ("train", 200)]
+    )
+    def test_a_pass_holds_only_the_results_it_keeps(
+        self, command, bound, traffic10_model, tmp_path
+    ):
+        # The growth of the tracemalloc peak from n to 4n lines, per line:
+        # evaluate and sweep keep two scores and a class code per record,
+        # train the normals' traffic10 rows. Holding the records took
+        # about 540 B per line.
+        from pca_ids.evaluation import evaluate, sweep
+        from pca_ids.trainer import fit
+
+        from .conftest import CORPUS_COUNTS
+
+        grid = [(t, u) for t in (1.0, 5.0, 25.0) for u in (0.5, 5.0)]
+        run = {
+            "evaluate": lambda path: evaluate(traffic10_model, Dataset(path)),
+            "sweep": lambda path: sweep(traffic10_model, Dataset(path), grid),
+            "train": lambda path: fit(Dataset(path), TRAFFIC10),
+        }[command]
+
+        def peak(units: int) -> tuple[int, int]:
+            counts = {label: n * units for label, n in CORPUS_COUNTS.items()}
+            lines = make_corpus(counts, seed=units)
+            path = tmp_path / f"{units}.txt"
+            path.write_text("\n".join(lines) + "\n")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run(str(path))
+                return len(lines), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-use allocations
+        (n, small), (n4, large) = peak(4), peak(16)
+        assert (large - small) / (n4 - n) <= bound
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         with pytest.raises(EmptyDatasetError):
-            load_dataset(str(path))
+            read_through(Dataset(str(path)))
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
-            load_dataset(str(tmp_path / "nope.txt"))
+            read_through(Dataset(str(tmp_path / "nope.txt")))
 
-    def test_summary_mentions_counts(self, corpus_dataset):
-        text = corpus_dataset.summary()
-        assert f"records: {len(corpus_dataset)}" in text
+    def test_summary_mentions_counts(self, corpus_counts):
+        text = corpus_counts.summary()
+        assert f"records: {len(corpus_counts)}" in text
         assert "malformed: 0" in text
         assert "DOS" in text
 
@@ -414,22 +477,60 @@ class TestEncoder:
 
     def test_lexicographic_codes(self):
         records = self._records(["tcp", "udp", "icmp", "tcp"])
-        enc = build_encoder(records, BASIC6)
+        X, enc = encode_normals(Dataset("tokens", [records]), BASIC6)
         assert enc[2] == {"icmp": 0, "tcp": 1, "udp": 2}
+        assert X[:, 1].tolist() == [1.0, 2.0, 0.0, 1.0]
 
     def test_single_token_feature(self):
         records = self._records(["tcp", "tcp"])
-        enc = build_encoder(records, BASIC6)
+        _, enc = encode_normals(Dataset("tokens", [records]), BASIC6)
         assert enc[2] == {"tcp": 0}
 
-    def test_rebuild_is_identical(self, corpus_dataset):
-        first = build_encoder(corpus_dataset.records, BASIC6)
-        second = build_encoder(corpus_dataset.records, BASIC6)
-        assert first == second
+    def test_rebuild_is_identical(self, corpus_file):
+        first = encode_normals(Dataset(corpus_file), BASIC6)
+        second = encode_normals(Dataset(corpus_file), BASIC6)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1] == second[1]
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            build_encoder([], BASIC6)
+            encode_normals(Dataset("none", [[]]), BASIC6)
+
+    @pytest.mark.parametrize("profile", [BASIC6, TRAFFIC10], ids=lambda p: p.name)
+    def test_renumbered_codes_are_the_sorted_codes_of_one_pass(self, profile, corpus_normals):
+        # Tokens first seen out of sorted order and in later blocks, down to
+        # the last, an attack block whose tokens stay out, and an empty block.
+        late = parse_record(line_for(label="normal", p2="zzz", p3="aaa", p4="S1", p23=3))
+        attack = parse_record(line_for(label="neptune", p2="attack-only", p3="private"))
+        blocks = [corpus_normals[:7], [], [attack], corpus_normals[7:300], [*corpus_normals[300:], late]]
+        X, encoder = encode_normals(Dataset("blocks", blocks), profile)
+
+        normals = [record for block in blocks for record in block if record.label == "normal"]
+        services = [record.text.split(",")[2] for record in normals]
+        first_seen = list(dict.fromkeys(services))
+        assert first_seen != sorted(first_seen) and first_seen.index("aaa") == len(first_seen) - 1
+        # the encoder of one pass over all normals: dense codes in sorted token order
+        expected = {
+            position: {
+                token: code
+                for code, token in enumerate(
+                    sorted({record.text.split(",")[position - 1] for record in normals})
+                )
+            }
+            for position in profile.categorical_indices
+        }
+        assert encoder == expected
+        assert all(list(table) == sorted(table) for table in encoder.values())
+        reference, unknown = encode_matrix(normals, profile, expected)
+        assert not unknown.any()
+        assert X.tobytes() == reference.tobytes()
+
+    def test_no_normal_record_rejected_after_the_pass(self):
+        attack = parse_record(line_for(label="neptune"))
+        dataset = Dataset("attacks", [[attack]])
+        with pytest.raises(EmptyDatasetError, match="no normal records in attacks"):
+            encode_normals(dataset, BASIC6)
+        assert len(dataset) == 1
 
 
 class TestExtractFeatures:
@@ -441,7 +542,7 @@ class TestExtractFeatures:
             line_for(label="normal", p2="icmp", p3="ftp", p4="S0"),
         ]
         records = [parse_record(line) for line in lines]
-        return build_encoder(records, BASIC6)
+        return encode_normals(Dataset("tokens", [records]), BASIC6)[1]
 
     def test_basic6_vector(self, encoder):
         rec = parse_record(

@@ -15,7 +15,6 @@ from pca_ids.kdd import (
     TRAFFIC10,
     Dataset,
     FeatureProfile,
-    categorize_attack,
     parse_record,
 )
 from pca_ids.modelio import (
@@ -55,9 +54,9 @@ class TestRoundTrip:
         assert loaded.t_major == basic6_model.t_major
         assert loaded.t_minor == basic6_model.t_minor
 
-    def test_verdicts_bit_identical(self, basic6_model, model_path, corpus_dataset):
+    def test_verdicts_bit_identical(self, basic6_model, model_path, corpus_records):
         loaded = load_model(str(model_path))
-        for record in corpus_dataset.records[:60]:
+        for record in corpus_records[:60]:
             assert classify(loaded, record) == classify(basic6_model, record)
 
     def test_save_load_save_is_byte_stable(
@@ -82,8 +81,7 @@ class TestRoundTrip:
         r = data.draw(st.integers(0, profile.p - q), label="r")
         lines = make_corpus({"normal": n_normal, "neptune": 4, "satan": 3}, seed=seed)
         records = [parse_record(line) for line in lines]
-        labels = [categorize_attack(record.label) for record in records]
-        model = fit(Dataset(records, labels, "random"), profile, TrainerConfig(q_override=q, r_override=r))
+        model = fit(Dataset("random", [records]), profile, TrainerConfig(q_override=q, r_override=r))
         before = score_records(model, records)
         verdicts = [classify(model, record) for record in records]
         with tempfile.TemporaryDirectory() as tmp:
@@ -94,11 +92,11 @@ class TestRoundTrip:
             assert a.tobytes() == b.tobytes()
         assert [classify(loaded, record) for record in records] == verdicts
 
-    def test_provenance_recorded(self, model_path, corpus_dataset):
+    def test_provenance_recorded(self, model_path, corpus_counts):
         doc = json.loads(model_path.read_text())
         prov = doc["provenance"]
-        assert prov["training_file"] == corpus_dataset.source
-        assert prov["n_normal"] == corpus_dataset.n_normal
+        assert prov["training_file"] == corpus_counts.source
+        assert prov["n_normal"] == corpus_counts.n_normal
         assert "created_at" in prov
         assert doc["format_version"] == FORMAT_VERSION
 

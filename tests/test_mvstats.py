@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pca_ids.kdd import BASIC6, encode_matrix
+from pca_ids.kdd import BASIC6, encode_normals
 from pca_ids.mvstats import (
     DimensionMismatch,
     NoConvergence,
@@ -42,11 +42,7 @@ class TestStandardizer:
         assert np.allclose(params.std, std, rtol=1e-12)
 
     def test_kdd_normal_means_match_streaming_oracle(self, kdd_dataset):
-        from pca_ids.kdd import build_encoder
-
-        normals = kdd_dataset.normal_records()
-        encoder = build_encoder(normals, BASIC6)
-        X, _ = encode_matrix(normals, BASIC6, encoder)
+        X, _ = encode_normals(kdd_dataset, BASIC6)
         params = fit_standardizer(X)
         mean, std = welford_mean_std(X)
         assert np.allclose(params.mean, mean, rtol=1e-10)

@@ -9,7 +9,6 @@ from pca_ids.kdd import (
     BASIC6,
     Dataset,
     EmptyDatasetError,
-    categorize_attack,
     parse_record,
 )
 from pca_ids.mvstats import correlation_matrix
@@ -102,25 +101,20 @@ class TestFit:
         total = float(np.sum(basic6_model.eigen.values))
         assert abs(total - 6.0) < 1e-9 * 6
 
-    def test_trains_on_normals_only(self, basic6_model, corpus_dataset):
-        assert basic6_model.metadata["n_normal"] == corpus_dataset.n_normal
-        assert basic6_model.metadata["n_records"] == len(corpus_dataset)
+    def test_trains_on_normals_only(self, basic6_model, corpus_counts):
+        assert basic6_model.metadata["n_normal"] == corpus_counts.n_normal
+        assert basic6_model.metadata["n_records"] == len(corpus_counts)
 
-    def test_no_normals_rejected(self, corpus_dataset):
-        attacks_only = Dataset(
-            records=[r for r, l in zip(corpus_dataset.records, corpus_dataset.labels) if l.is_attack],
-            labels=[l for l in corpus_dataset.labels if l.is_attack],
-            source="attacks-only",
-        )
+    def test_no_normals_rejected(self, corpus_records, corpus_labels):
+        attacks = [r for r, l in zip(corpus_records, corpus_labels) if l.is_attack]
+        attacks_only = Dataset("attacks-only", [attacks])
         with pytest.raises(EmptyDatasetError):
             fit(attacks_only, BASIC6)
 
     def test_identical_records_degenerate_to_identity(self):
         line = ",".join(["3"] + ["tcp", "http", "SF"] + ["7"] * 37 + ["normal"])
         records = [parse_record(line) for _ in range(20)]
-        labels = [categorize_attack("normal")] * 20
-        ds = Dataset(records=records, labels=labels, source="constant")
-        model = fit(ds, BASIC6)
+        model = fit(Dataset("constant", [records]), BASIC6)
         assert model.standardizer.degenerate.all()
         assert np.allclose(model.eigen.values, 1.0)
         assert model.q == math.ceil(0.60 * 6)
@@ -149,33 +143,24 @@ class TestFit:
         assert model.r == 7
         assert any("shrunk" in rec.message for rec in caplog.records)
 
-    def test_duplication_invariance(self, corpus_dataset, basic6_model):
-        doubled = Dataset(
-            records=corpus_dataset.records + corpus_dataset.records,
-            labels=corpus_dataset.labels + corpus_dataset.labels,
-            source=corpus_dataset.source,
-        )
+    def test_duplication_invariance(self, corpus_records, basic6_model):
+        doubled = Dataset("doubled", [corpus_records, corpus_records])
         model2 = fit(doubled, BASIC6)
         assert np.allclose(model2.standardizer.mean, basic6_model.standardizer.mean, rtol=1e-12)
         assert np.allclose(model2.eigen.values, basic6_model.eigen.values, atol=1e-9)
         assert np.allclose(model2.eigen.vectors, basic6_model.eigen.vectors, atol=1e-8)
 
-    def test_training_false_alarm_rate_bounded(self, corpus_dataset, basic6_model):
+    def test_training_false_alarm_rate_bounded(self, corpus_normals, basic6_model):
         from pca_ids.detector import score_records
 
-        normals = corpus_dataset.normal_records()
+        normals = corpus_normals
         majc, _, _ = score_records(basic6_model, normals)
         alpha = basic6_model.metadata["config"]["alpha_major"]
         rate = float(np.mean(majc > basic6_model.t_major))
         assert rate <= alpha + 1.0 / len(normals)
 
     def test_fit_is_deterministic(self, corpus_file):
-        from pca_ids.kdd import load_dataset
-
-        models = []
-        for _ in range(2):
-            ds = load_dataset(corpus_file)
-            models.append(fit(ds, BASIC6))
+        models = [fit(Dataset(corpus_file), BASIC6) for _ in range(2)]
         a, b = models
         assert np.array_equal(a.eigen.values, b.eigen.values)
         assert np.array_equal(a.eigen.vectors, b.eigen.vectors)
