@@ -25,7 +25,7 @@ from .kdd import (
     encode_matrix,
     extract_features,
 )
-from .mvstats import project, standardize
+from .mvstats import EIGENVALUE_FLOOR, _fold, standardize
 
 if TYPE_CHECKING:
     from .trainer import PcaModel
@@ -67,35 +67,53 @@ class StreamVerdict(NamedTuple):
     error: str | None = None
 
 
-def _score_sums(y: np.ndarray, floored: list[float], q: int, r: int):
-    """Sums of y_i^2 / lambda_i over the first q and over the last r components.
+class _Scorer(NamedTuple):
+    """A model's scoring constants as lists: standardizer mean, safe std and
+    degenerate positions; the scored eigenvector columns and floored eigenvalues."""
 
-    ``floored`` is ``EigenPairs.floored_values``, a list. A p-vector gives
-    floats, an n x p matrix one sum per row. This is the only scorer:
-    ``train`` scores its training normals with it, and ``classify``,
-    ``evaluate`` and ``sweep`` score records with it through ``_scores``.
+    mean: list[float]
+    std: list[float]
+    degenerate: list[int]
+    columns: list[list[float]]
+    floored: list[float]
+    q: int
 
-    A p-vector with q, r < 8 gets numpy's floats without numpy's call costs:
-    numpy adds fewer than 8 terms left to right from 0.0, as the fold does.
-    Not ``sum`` (compensated from 3.12) nor ``v ** 2`` (OverflowError, not inf).
+    def standardize(self, x: list[float]) -> list[float]:
+        """``mvstats.standardize`` of one record's floats, by the same IEEE steps."""
+        z = [(v - m) / s for v, m, s in zip(x, self.mean, self.std)]
+        for j in self.degenerate:
+            z[j] = 0.0
+        return z
+
+
+def _scorer(standardizer, eigen, q: int, r: int) -> _Scorer:
+    """The constants ``PcaModel.scorer`` holds, and ``fit`` scores with."""
+    scored = [*range(q), *range(-r, 0)]  # the first q and the last r
+    return _Scorer(
+        standardizer.mean.tolist(),
+        standardizer.safe_std.tolist(),
+        np.flatnonzero(standardizer.degenerate).tolist(),
+        eigen.vectors[:, scored].T.tolist(),
+        np.maximum(eigen.values[scored], EIGENVALUE_FLOOR).tolist(),
+        q,
+    )
+
+
+def _score_sums(z, scorer: _Scorer, zero=0.0):
+    """The one scorer: sums of y_i^2 / lambda_i over the q major and the r minor
+    components of ``mvstats._fold``, each added to ``zero`` in component order.
+    ``z`` is p standardized floats, or a block's p columns with a zero column as
+    ``zero``. Not ``y ** 2``: a float's raises OverflowError, not inf.
     """
-    if y.ndim == 1 and q < 8 and r < 8:
-        terms = [v * v / f for v, f in zip(y.tolist(), floored)]
-        return reduce(add, terms[:q], 0.0), reduce(add, terms[len(terms) - r :], 0.0)
-    terms = y * y
-    terms /= floored
-    p = terms.shape[-1]
-    major = terms[..., :q].sum(axis=-1)
-    minor = terms[..., p - r :].sum(axis=-1)
-    if major.ndim == 0:
-        return float(major), float(minor)
-    return major, minor
+    terms = [y * y / f for y, f in zip(_fold(z, scorer.columns), scorer.floored)]
+    return reduce(add, terms[: scorer.q], zero), reduce(add, terms[scorer.q :], zero)
 
 
-def _scores(model: "PcaModel", x: np.ndarray):
-    """(major, minor) scores of one encoded p-vector or of an n x p matrix."""
-    y = project(standardize(x, model.standardizer), model.eigen)
-    return _score_sums(y, model.eigen.floored_values, model.q, model.r)
+def _block_scores(Z: np.ndarray, scorer: _Scorer):
+    """(major, minor) arrays of a standardized n x p block, for ``score_records`` and ``fit``."""
+    # an overflowing record folds inf * 0 or inf - inf to NaN, an attack
+    with np.errstate(invalid="ignore"):
+        return _score_sums(Z.T, scorer, np.zeros(len(Z)))
 
 
 def _exceeds(score, threshold):
@@ -124,7 +142,8 @@ _TRIGGERS = {
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
-    majc, minc = _scores(model, values)
+    scorer = model.scorer
+    majc, minc = _score_sums(scorer.standardize(values), scorer)
     trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor)]
     return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
 
@@ -137,7 +156,7 @@ def score_records(
     Each score is bit-identical to the one ``classify`` gives the record.
     """
     X, unknown = encode_matrix(records, model.profile, model.encoder)
-    majc, minc = _scores(model, X)
+    majc, minc = _block_scores(standardize(X, model.standardizer), model.scorer)
     return majc, minc, unknown
 
 

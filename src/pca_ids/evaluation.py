@@ -65,18 +65,14 @@ def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.searchsorted(thresholds, scores, side="left")
 
 
-def _grid_tally(
-    codes: np.ndarray, k_major, k_minor, shape: tuple[int, int], at
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid_tally(flat: np.ndarray, size: tuple[int, int, int], at) -> tuple[np.ndarray, np.ndarray]:
     """(exist, flagged): the records of each class, and those flagged at
     each grid point (j, l) of ``at`` as a classes x points array.
 
-    ``codes`` are the records' class codes, indices into ``kdd.CLASSES``;
-    ``k_major``/``k_minor`` are their ranks, each below its axis length in
-    ``shape``. A record is flagged unless k_major <= j and k_minor <= l.
+    ``flat`` holds each record's (class code, major rank, minor rank) as a
+    ``ravel_multi_index`` into ``size``, the classes and the two rank axes.
+    A record is flagged unless its major rank <= j and its minor rank <= l.
     """
-    size = (len(CLASSES), *shape)
-    flat = np.ravel_multi_index((codes, k_major, k_minor), size)
     unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)
     exist = unflagged[:, -1, -1]
     return exist, exist[:, None] - unflagged[:, at[0], at[1]]
@@ -183,31 +179,27 @@ def sweep(
     """Count the records flagged at each (t_major, t_minor) grid point.
 
     Reads the dataset once, scoring each block with ``score_records`` and
-    keeping only each record's two scores and class code. Records are
-    ranked once against the sorted distinct thresholds; one cumulative
-    histogram of the ranks then gives every point's counts as an array,
-    and the rates are array divisions. No per-point report is built until
-    ``report(k)`` asks for one.
+    ranking its records against the sorted distinct thresholds, so a
+    record keeps only one index of (class code, major rank, minor rank).
+    One cumulative histogram of those then gives every point's counts as
+    an array, and the rates are array divisions. No per-point report is
+    built until ``report(k)`` asks for one.
     """
     if not grid:
         raise EmptyGrid("threshold grid is empty")
-    majc_parts, minc_parts, code_parts = [], [], []
-    for records, codes in dataset:
-        majc, minc, _ = score_records(model, records)
-        majc_parts.append(majc)
-        minc_parts.append(minc)
-        code_parts.append(np.array(codes, np.int8))
-    majc, minc, codes = map(np.concatenate, (majc_parts, minc_parts, code_parts))
-    del majc_parts, minc_parts, code_parts
     t_major = np.array([tm for tm, _ in grid], dtype=float)
     # a NaN threshold flags nothing: the minor test when it is not in play
     t_minor = np.array([np.nan if tmm is None or not model.r else tmm for _, tmm in grid])
     # return_inverse also keeps np.unique off a check whose first call imports numpy.ma
     u_major, at_major = np.unique(t_major, return_inverse=True)
     u_minor, at_minor = np.unique(t_minor, return_inverse=True)
-    shape = (len(u_major) + 1, len(u_minor) + 1)
-    ranks = (_rank(majc, u_major), _rank(minc, u_minor))
-    return SweepResult(grid, *_grid_tally(codes, *ranks, shape, (at_major, at_minor)))
+    size = (len(CLASSES), len(u_major) + 1, len(u_minor) + 1)
+    flat = []
+    for records, codes in dataset:
+        majc, minc, _ = score_records(model, records)
+        ranks = (np.array(codes, np.intp), _rank(majc, u_major), _rank(minc, u_minor))
+        flat.append(np.ravel_multi_index(ranks, size))
+    return SweepResult(grid, *_grid_tally(np.concatenate(flat), size, (at_major, at_minor)))
 
 
 def _fmt(rate: float | None, digits: int = 4) -> str:

@@ -10,8 +10,9 @@ comes from a BLAS product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -50,10 +51,6 @@ class StandardizationParams:
         """The std with degenerate features set to 1, safe to divide by."""
         return np.where(self.degenerate, 1.0, self.std)
 
-    @cached_property
-    def any_degenerate(self) -> bool:
-        return bool(self.degenerate.any())
-
 
 def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     """Column means and sample (n-1) standard deviations of an n x p matrix."""
@@ -79,8 +76,7 @@ def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
         raise DimensionMismatch(f"expected {p} features, got {x.shape[-1]}")
     z = x - params.mean
     z /= params.safe_std
-    if params.any_degenerate:
-        z[..., params.degenerate] = 0.0
+    z[..., params.degenerate] = 0.0
     return z
 
 
@@ -113,9 +109,8 @@ def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np
     r = (z.T @ z) / (n - 1)
     r = 0.5 * (r + r.T)
     np.clip(r, -1.0, 1.0, out=r)
-    if params.any_degenerate:
-        r[params.degenerate, :] = 0.0
-        r[:, params.degenerate] = 0.0
+    r[params.degenerate, :] = 0.0
+    r[:, params.degenerate] = 0.0
     np.fill_diagonal(r, 1.0)
     return r
 
@@ -126,13 +121,6 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray  # column i pairs with values[i]
-    # The eigenvalues raised to EIGENVALUE_FLOOR, the score divisors, as
-    # Python floats: the n=1 scorer divides by them on every record.
-    floored_values: list[float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        floored = np.maximum(self.values, EIGENVALUE_FLOOR).tolist()
-        object.__setattr__(self, "floored_values", floored)
 
 
 def eigen_sym(matrix: np.ndarray) -> EigenPairs:
@@ -170,16 +158,24 @@ def eigen_sym(matrix: np.ndarray) -> EigenPairs:
     return EigenPairs(values[order], vectors)
 
 
+def _fold(z, columns) -> list:
+    """The one projection order: y_k = ((z_1*v_1k + z_2*v_2k) + ...) per column v_k.
+
+    ``z`` is one record's p standardized floats, or a block's p numpy
+    columns. Each step is one IEEE operation, so a record projects to the
+    same bits alone and in any block, on any numpy and any Python.
+    """
+    return [reduce(add, map(mul, z, column)) for column in columns]
+
+
 def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:
     """Principal-component scores of standardized observations.
 
-    Returns e_i . z per component, in descending-eigenvalue order. Accepts
-    a single p-vector or an n x p matrix. The product avoids BLAS, whose
-    rounding depends on the matrix shape, so each row of a matrix projects
-    bit-identically to the same row on its own.
+    Returns e_i . z per component, in descending-eigenvalue order, through
+    ``_fold``. Accepts a single p-vector or an n x p matrix.
     """
     z = np.asarray(z, dtype=float)
     p = pairs.vectors.shape[0]
     if z.shape[-1] != p:
         raise DimensionMismatch(f"expected {p} features, got {z.shape[-1]}")
-    return np.einsum("...j,jk->...k", z, pairs.vectors)
+    return np.stack(_fold(np.moveaxis(z, -1, 0), pairs.vectors.T.tolist()), axis=-1)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +18,6 @@ from .mvstats import (
     StandardizationParams,
     eigen_sym,
     fit_standardizer,
-    project,
     standardize,
     standardized_correlation,
 )
@@ -79,6 +79,11 @@ class PcaModel:
     t_major: float
     t_minor: float | None
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def scorer(self) -> "detector._Scorer":
+        """The scoring constants as Python lists, built once per model."""
+        return detector._scorer(self.standardizer, self.eigen, self.q, self.r)
 
 
 def select_major(eigenvalues: Sequence[float], variance_target: float) -> int:
@@ -182,9 +187,7 @@ def fit(
         )
         r = shrunk
 
-    Y = project(Z, eigen)
-    del Z
-    majc, minc = detector._score_sums(Y, eigen.floored_values, q, r)
+    majc, minc = detector._block_scores(Z, detector._scorer(standardizer, eigen, q, r))
     t_major, t_minor = calibrate_thresholds(
         majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
     )

@@ -76,6 +76,30 @@ def mahalanobis_sq(x, mean, s_inv) -> float:
     return float(d @ s_inv @ d)
 
 
+def loop_scores(x, mean, std, degenerate, vectors, values, q: int, r: int):
+    """(major, minor) scores of one encoded record, spelled out as loops.
+
+    The program's stated order: z_j = (x_j - mean_j) / std_j, or 0.0 at a
+    degenerate position; y_k = z_1*v_1k, then + z_j*v_jk for j = 2..p; each
+    score starts at 0.0 and adds y_k*y_k / max(lambda_k, 1e-12) over its
+    components in order, the first q for major and the last r for minor.
+    All arguments are Python floats, bools and lists (``vectors[j][k]``).
+    """
+    p = len(x)
+    z = [0.0 if degenerate[j] else (x[j] - mean[j]) / std[j] for j in range(p)]
+
+    def score(components):
+        total = 0.0
+        for k in components:
+            y = z[0] * vectors[0][k]
+            for j in range(1, p):
+                y = y + z[j] * vectors[j][k]
+            total = total + y * y / max(values[k], 1e-12)
+        return total
+
+    return score(range(q)), score(range(p - r, p))
+
+
 def fields_acceptable(fields) -> bool:
     """The record format's per-field rule, checked one field at a time.
 

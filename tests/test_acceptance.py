@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from pca_ids.detector import _score_sums, score_records
+from pca_ids.detector import _score_sums, _scorer, score_records
 from pca_ids.evaluation import ConfusionMatrix, metrics, sweep
 from pca_ids.kdd import (
     BASIC6,
@@ -124,12 +124,14 @@ def test_full_score_equals_mahalanobis_distance():
     cases = 0
     while cases < 100:
         p = int(rng.integers(2, 9))
-        r = correlation_matrix(rng.normal(size=(60, p)))
+        data = rng.normal(size=(60, p))
+        params = fit_standardizer(data)
+        r = correlation_matrix(data, params)
         pairs = eigen_sym(r)
         if pairs.values[-1] < 1e-6:  # keep to nonsingular cases
             continue
         z = rng.normal(size=p)
-        full, _ = _score_sums(project(z, pairs), pairs.floored_values, p, 0)
+        full, _ = _score_sums(z.tolist(), _scorer(params, pairs, p, 0))
         oracle = mahalanobis_sq(z, np.zeros(p), np.linalg.inv(r))
         worst = max(worst, abs(full - oracle) / abs(oracle))
         cases += 1

@@ -13,19 +13,23 @@ from pca_ids.detector import (
     StreamVerdict,
     Trigger,
     Verdict,
+    _block_scores,
     _score_sums,
+    _scorer,
     classify,
     classify_file,
     classify_stream,
     score_records,
 )
 from pca_ids.evaluation import evaluate
-from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, parse_record
-from pca_ids.mvstats import project, standardize
+from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, extract_features, parse_record
+from pca_ids.mvstats import EigenPairs, StandardizationParams, standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
-from .oracles import mahalanobis_sq
+from .oracles import loop_scores, mahalanobis_sq
 from .test_kdd import fields_for, line_for
+
+MAX_FLOAT = sys.float_info.max
 
 
 @pytest.fixture(scope="module", params=sorted(PRESETS))
@@ -39,8 +43,20 @@ def preset_model(request, corpus_file):
 def score_setup():
     rng = np.random.default_rng(71)
     eigenvalues = np.sort(rng.uniform(0.1, 3.0, size=8))[::-1]
-    y = rng.normal(size=8)
+    y = rng.normal(size=8).tolist()
     return y, eigenvalues
+
+
+def axes_scorer(eigenvalues, q, r):
+    """A scorer whose eigenvectors are the axes, so the fold gives y = z."""
+    p = len(eigenvalues)
+    identity = StandardizationParams(np.zeros(p), np.ones(p), np.zeros(p, bool))
+    return _scorer(identity, EigenPairs(eigenvalues, np.eye(p)), q, r)
+
+
+def same_scores(a, b) -> bool:
+    """Equal floats pairwise, where NaN equals NaN."""
+    return all(x == y or (x != x and y != y) for x, y in zip(a, b, strict=True))
 
 
 class TestScores:
@@ -48,17 +64,16 @@ class TestScores:
     # their own floored values
     def test_zero_vector_scores_zero(self, score_setup):
         _, eigenvalues = score_setup
-        assert _score_sums(np.zeros(8), eigenvalues, 3, 2) == (0.0, 0.0)
+        assert _score_sums([0.0] * 8, axes_scorer(eigenvalues, 3, 2)) == (0.0, 0.0)
 
     def test_unit_contribution_on_leading_axis(self, score_setup):
         _, eigenvalues = score_setup
-        y = np.zeros(8)
-        y[0] = np.sqrt(eigenvalues[0])
-        assert _score_sums(y, eigenvalues, 1, 0)[0] == pytest.approx(1.0, rel=1e-12)
+        y = [float(np.sqrt(eigenvalues[0]))] + [0.0] * 7
+        assert _score_sums(y, axes_scorer(eigenvalues, 1, 0))[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_r_zero_is_always_zero(self, score_setup):
         y, eigenvalues = score_setup
-        assert _score_sums(y, eigenvalues, 3, 0)[1] == 0.0
+        assert _score_sums(y, axes_scorer(eigenvalues, 3, 0))[1] == 0.0
 
     def test_full_major_score_is_mahalanobis(self, basic6_model, corpus_normals):
         # with q = p the score is the full quadratic form z' R^-1 z
@@ -69,11 +84,11 @@ class TestScores:
 
         R = correlation_matrix(X, model.standardizer)
         r_inv = np.linalg.inv(R)
+        scorer = _scorer(model.standardizer, model.eigen, model.profile.p, 0)
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
             z = standardize(X[idx], model.standardizer)
-            y = project(z, model.eigen)
-            full, _ = _score_sums(y, model.eigen.floored_values, model.profile.p, 0)
+            full, _ = _score_sums(z.tolist(), scorer)
             oracle = mahalanobis_sq(z, np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
 
@@ -81,10 +96,10 @@ class TestScores:
         y, eigenvalues = score_setup
         q, r = 3, 2
         middle = float(
-            np.sum(y[q : 8 - r] ** 2 / eigenvalues[q : 8 - r])
+            np.sum(np.square(y[q : 8 - r]) / eigenvalues[q : 8 - r])
         )
-        total, _ = _score_sums(y, eigenvalues, 8, 0)
-        major, minor = _score_sums(y, eigenvalues, q, r)
+        total, _ = _score_sums(y, axes_scorer(eigenvalues, 8, 0))
+        major, minor = _score_sums(y, axes_scorer(eigenvalues, q, r))
         assert total == pytest.approx(major + middle + minor, rel=1e-12)
 
 
@@ -170,10 +185,17 @@ class TestScoreRecords:
             assert minc[i] == verdict.minor_score
 
     def test_classify_equals_score_records_bitwise(self, preset_model, corpus_records):
+        # both equal the literal loops of the stated summation order
         model = preset_model
+        std, eigen = model.standardizer, model.eigen
+        constants = (std.mean, std.std, std.degenerate, eigen.vectors, eigen.values)
+        constants = [array.tolist() for array in constants]
         majc, minc, unknown = score_records(model, corpus_records)
         for i, record in enumerate(corpus_records):
             verdict = classify(model, record)
+            x, _ = extract_features(record, model.profile, model.encoder)
+            oracle = loop_scores(x, *constants, model.q, model.r)
+            assert (verdict.major_score, verdict.minor_score) == oracle
             assert verdict.major_score == majc[i]
             assert verdict.minor_score == minc[i]
             assert verdict.unknown_token == unknown[i]
@@ -194,30 +216,29 @@ class TestScoreRecords:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_batch_scores_equal_single_scores(self, preset_model, data):
-        # A p-vector with q, r < 8 is summed in plain Python, anything else by
-        # numpy; every (q, r) split must give the matrix path's floats, and
-        # traffic10 (p=10) reaches the 8-term boundary from both sides.
+    def test_float_scores_equal_block_scores(self, preset_model, data):
+        # A record scored alone as Python floats (classify) must give its row
+        # of a block (score_records, fit) for every (q, r) split, overflowing
+        # values and their inf or NaN scores included.
         model = preset_model
-        q = data.draw(st.integers(0, model.profile.p), label="q")
-        r = data.draw(st.integers(0, model.profile.p - q), label="r")
+        p = model.profile.p
+        q = data.draw(st.integers(0, p), label="q")
+        r = data.draw(st.integers(0, p - q), label="r")
         X = data.draw(
             hnp.arrays(
                 float,
-                hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12).map(
-                    lambda shape: (shape[0], model.profile.p)
-                ),
-                elements=st.floats(-1e6, 1e6),
+                st.tuples(st.integers(1, 12), st.just(p)),
+                elements=st.sampled_from([0.0, 1e308, -MAX_FLOAT, MAX_FLOAT])
+                | st.floats(-1e6, 1e6)
+                | st.floats(-MAX_FLOAT, MAX_FLOAT),
             )
         )
-        floored = model.eigen.floored_values
-        y = project(standardize(X, model.standardizer), model.eigen)
-        batch = _score_sums(y, floored, q, r)
-        full, _ = _score_sums(y, floored, model.profile.p, 0)  # sums past 8 terms on traffic10
-        for i, row in enumerate(X):
-            y1 = project(standardize(row, model.standardizer), model.eigen)
-            assert _score_sums(y1, floored, q, r) == (batch[0][i], batch[1][i])
-            assert _score_sums(y1, floored, model.profile.p, 0)[0] == full[i]
+        scorer = _scorer(model.standardizer, model.eigen, q, r)
+        with np.errstate(over="ignore"):
+            block = _block_scores(standardize(X, model.standardizer), scorer)
+        for i, row in enumerate(X.tolist()):
+            alone = _score_sums(scorer.standardize(row), scorer)
+            assert same_scores(alone, (block[0][i], block[1][i]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -239,7 +260,6 @@ class TestScoreRecords:
             assert not classify(high, record).is_attack
 
 
-MAX_FLOAT = sys.float_info.max
 TOKENS = {2: ("tcp", "udp", "icmp"), 3: ("http", "smtp", "private"), 4: ("SF", "REJ")}
 UNSEEN = "telnet"
 
