@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
+from itertools import chain, islice
 from typing import Iterator
 
-import numpy as np
-
-from .detector import classify_file, classify_stream
+from . import kdd
+from .detector import StreamVerdict, classify_file, classify_stream
 from .evaluation import (
     evaluate,
     format_text_report,
@@ -36,7 +37,7 @@ def grid_spec(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"grid must look like lo:hi:steps, got {text!r}"
         )
-    if not np.isfinite(hi - lo):  # a NaN or infinite bound, or a span that overflows
+    if not math.isfinite(hi - lo):  # a NaN or infinite bound, or a span that overflows
         raise argparse.ArgumentTypeError(
             f"grid bounds and their span must be finite, got {text!r}"
         )
@@ -44,6 +45,8 @@ def grid_spec(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid needs at least one step")
     if hi < lo:
         raise argparse.ArgumentTypeError("grid upper bound below lower bound")
+    import numpy as np
+
     # np.unique would import numpy.ma, 10-25 ms of every sweep's start-up
     return sorted(set(np.linspace(lo, hi, steps).tolist()))
 
@@ -152,7 +155,7 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
     save_model(model, args.out)
 
     meta = model.metadata
-    values = ", ".join(f"{v:.4f}" for v in model.eigen.values)
+    values = ", ".join(f"{v:.4f}" for v in model.eigenvalues)
     print(dataset.summary())
     print(f"trained on {meta['n_normal']} normal records from {args.data}")
     print(f"profile: {profile.name} (p={profile.p})")
@@ -184,11 +187,22 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _classify_input(model, source) -> Iterator[StreamVerdict]:
+    """``classify_file``, or ``classify_stream`` for an input that ends
+    within its first ``kdd.CHUNK_LINES`` block: one block saves less than
+    numpy's import costs."""
+    head = list(islice(source, kdd.CHUNK_LINES + 1))
+    if len(head) <= kdd.CHUNK_LINES:
+        yield from classify_stream(model, head)
+    else:
+        yield from classify_file(model, chain(head, source))
+
+
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.input:
         source = open_text(args.input)
-        items = classify_file(model, source)
+        items = _classify_input(model, source)
     else:
         source = sys.stdin
         if isinstance(source, io.TextIOWrapper):
@@ -258,8 +272,8 @@ def cmd_inspect(args) -> int:
     if residuals is not None:  # the spectrum is p eigenvalues only then
         print(f"{'component':>10}{'eigenvalue':>14}{'cumulative':>12}")
         running = 0.0
-        for i, lam in enumerate(model.eigen.values, start=1):
-            running += float(lam)
+        for i, lam in enumerate(model.eigenvalues, start=1):
+            running += lam
             print(f"{i:>10}{lam:>14.6f}{running / p:>12.4f}")
     print(f"selected q={model.q} r={model.r}")
     t_minor = "n/a" if model.t_minor is None else repr(model.t_minor)
@@ -290,21 +304,18 @@ def cmd_inspect(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # An overflowing feature gives an inf score (an attack verdict) or a
-    # refused train; numpy's warning would only repeat that on stderr.
     try:
-        with np.errstate(over="ignore"):
-            if args.command == "train":
-                return cmd_train(args, parser)
-            if args.command == "evaluate":
-                return cmd_evaluate(args)
-            if args.command == "classify":
-                return cmd_classify(args)
-            if args.command == "sweep":
-                return cmd_sweep(args, parser)
-            if args.command == "inspect":
-                return cmd_inspect(args)
-            parser.error(f"unknown command {args.command!r}")
+        if args.command == "train":
+            return cmd_train(args, parser)
+        if args.command == "evaluate":
+            return cmd_evaluate(args)
+        if args.command == "classify":
+            return cmd_classify(args)
+        if args.command == "sweep":
+            return cmd_sweep(args, parser)
+        if args.command == "inspect":
+            return cmd_inspect(args)
+        parser.error(f"unknown command {args.command!r}")
     # EmptyDatasetError, ModelFormatError and ModelIntegrityError are ValueErrors.
     except (OSError, NoConvergence, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,8 +15,6 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .kdd import (
     ConnectionRecord,
     _blocks,
@@ -28,6 +26,8 @@ from .kdd import (
 from .mvstats import EIGENVALUE_FLOOR, _fold, standardize
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .trainer import PcaModel
 
 
@@ -86,15 +86,16 @@ class _Scorer(NamedTuple):
         return z
 
 
-def _scorer(standardizer, eigen, q: int, r: int) -> _Scorer:
-    """The constants ``PcaModel.scorer`` holds, and ``fit`` scores with."""
+def _scorer(mean, std, degenerate, eigenvalues, eigenvectors, q: int, r: int) -> _Scorer:
+    """The constants ``PcaModel.scorer`` holds, and ``fit`` scores with, from
+    a model's lists: row k of ``eigenvectors`` pairs with ``eigenvalues[k]``."""
     scored = [*range(q), *range(-r, 0)]  # the first q and the last r
     return _Scorer(
-        standardizer.mean.tolist(),
-        standardizer.safe_std.tolist(),
-        np.flatnonzero(standardizer.degenerate).tolist(),
-        eigen.vectors[:, scored].T.tolist(),
-        np.maximum(eigen.values[scored], EIGENVALUE_FLOOR).tolist(),
+        mean,
+        [1.0 if flag else s for s, flag in zip(std, degenerate)],
+        [j for j, flag in enumerate(degenerate) if flag],
+        [eigenvectors[k] for k in scored],
+        [max(eigenvalues[k], EIGENVALUE_FLOOR) for k in scored],
         q,
     )
 
@@ -111,8 +112,11 @@ def _score_sums(z, scorer: _Scorer, zero=0.0):
 
 def _block_scores(Z: np.ndarray, scorer: _Scorer):
     """(major, minor) arrays of a standardized n x p block, for ``score_records`` and ``fit``."""
-    # an overflowing record folds inf * 0 or inf - inf to NaN, an attack
-    with np.errstate(invalid="ignore"):
+    import numpy as np
+
+    # an overflowing record scores inf, or folds inf * 0 or inf - inf to
+    # NaN: an attack either way, as in classify
+    with np.errstate(over="ignore", invalid="ignore"):
         return _score_sums(Z.T, scorer, np.zeros(len(Z)))
 
 
@@ -179,6 +183,8 @@ def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVer
     records of each block as one matrix with ``score_records``; the scores
     are bit-identical to those of ``classify``.
     """
+    import numpy as np
+
     for parsed in _blocks(lines, allow_unlabeled=True):
         majc, minc, unknown = score_records(
             model, [record for _, record, _ in parsed if record is not None]

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .detector import score_records
 from .kdd import ATTACK_CATEGORIES, CLASSES, AttackCategory, Dataset
 from .trainer import PcaModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyMatrix(ValueError):
@@ -62,6 +63,8 @@ def _rank(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     numpy orders NaN after every number, so a NaN score exceeds every
     threshold but a NaN one, and a NaN threshold is exceeded by no score.
     """
+    import numpy as np
+
     return np.searchsorted(thresholds, scores, side="left")
 
 
@@ -73,6 +76,8 @@ def _grid_tally(flat: np.ndarray, size: tuple[int, int, int], at) -> tuple[np.nd
     ``ravel_multi_index`` into ``size``, the classes and the two rank axes.
     A record is flagged unless its major rank <= j and its minor rank <= l.
     """
+    import numpy as np
+
     unflagged = np.bincount(flat, minlength=np.prod(size)).reshape(size).cumsum(1).cumsum(2)
     exist = unflagged[:, -1, -1]
     return exist, exist[:, None] - unflagged[:, at[0], at[1]]
@@ -185,6 +190,8 @@ def sweep(
     an array, and the rates are array divisions. No per-point report is
     built until ``report(k)`` asks for one.
     """
+    import numpy as np
+
     if not grid:
         raise EmptyGrid("threshold grid is empty")
     t_major = np.array([tm for tm, _ in grid], dtype=float)
@@ -194,12 +201,15 @@ def sweep(
     u_major, at_major = np.unique(t_major, return_inverse=True)
     u_minor, at_minor = np.unique(t_minor, return_inverse=True)
     size = (len(CLASSES), len(u_major) + 1, len(u_minor) + 1)
-    flat = []
+    # One growing buffer, as in kdd.encode_normals: joining a list of block
+    # arrays would hold every index twice.
+    flat = bytearray()
     for records, codes in dataset:
         majc, minc, _ = score_records(model, records)
         ranks = (np.array(codes, np.intp), _rank(majc, u_major), _rank(minc, u_minor))
-        flat.append(np.ravel_multi_index(ranks, size))
-    return SweepResult(grid, *_grid_tally(np.concatenate(flat), size, (at_major, at_minor)))
+        flat += np.ravel_multi_index(ranks, size).tobytes()
+    tally = _grid_tally(np.frombuffer(flat, dtype=np.intp), size, (at_major, at_minor))
+    return SweepResult(grid, *tally)
 
 
 def _fmt(rate: float | None, digits: int = 4) -> str:

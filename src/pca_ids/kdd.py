@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from math import inf
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 N_RAW_FEATURES = 41
 
@@ -291,6 +292,8 @@ class FeatureProfile:
     categorical_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.indices:
+            raise ValueError("a profile needs at least one index")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("profile indices must be strictly increasing")
         if any(i < 1 or i > N_RAW_FEATURES for i in self.indices):
@@ -405,6 +408,8 @@ def encode_normals(
     Raises:
         EmptyDatasetError: no normal records, once the pass has ended.
     """
+    import numpy as np
+
     encoder: dict[int, dict[str, int]] = {
         position: {} for position in profile.categorical_indices
     }
@@ -472,6 +477,8 @@ def encode_matrix(
     encoder: dict[int, dict[str, int]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode many records; returns (n x p matrix, unknown-token flags)."""
+    import numpy as np
+
     # Filled in place: a list of rows handed to np.array would hold every
     # row twice at the peak. Each row goes through the module-level name
     # extract_features, so a wrapper bound to that name (perfbench's tracer

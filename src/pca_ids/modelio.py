@@ -13,14 +13,12 @@ model files matter.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
-
-import numpy as np
 
 from .kdd import FeatureProfile
-from .mvstats import EigenPairs, StandardizationParams
+from .mvstats import _fold
 from .trainer import PcaModel
 
 FORMAT_VERSION = 1
@@ -40,6 +38,9 @@ class ModelIntegrityError(ValueError):
 
 
 def _created_at() -> str:
+    # only here: the import is 1.5-2 ms of every command's start-up
+    from datetime import datetime, timezone
+
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is None:
         return datetime.now(tz=timezone.utc).isoformat(timespec="seconds")
@@ -69,14 +70,14 @@ def model_to_document(model: PcaModel) -> dict:
             for position, table in model.encoder.items()
         },
         "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-            "degenerate": model.standardizer.degenerate.tolist(),
+            "mean": model.mean,
+            "std": model.std,
+            "degenerate": model.degenerate,
         },
         "eigen": {
-            "values": model.eigen.values.tolist(),
+            "values": model.eigenvalues,
             # rows are eigenvectors, in descending-eigenvalue order
-            "vectors": model.eigen.vectors.T.tolist(),
+            "vectors": model.eigenvectors,
         },
         "selection": {"q": model.q, "r": model.r},
         "thresholds": {
@@ -89,12 +90,13 @@ def model_to_document(model: PcaModel) -> dict:
     }
 
 
-# JSON value kinds a model field may hold, with the word that names each.
-_NUMBER = ((int, float), "number")
-_INTEGER = ((int,), "integer")
-_BOOLEAN = ((bool,), "boolean")
-_OBJECT = ((dict,), "object")
-_STRING = ((str,), "string")
+# JSON value kinds a model field may hold: the types that count as one, the
+# word that names it, and the type the model keeps it as.
+_NUMBER = ((int, float), "number", float)
+_INTEGER = ((int,), "integer", int)
+_BOOLEAN = ((bool,), "boolean", bool)
+_OBJECT = ((dict,), "object", dict)
+_STRING = ((str,), "string", str)
 
 
 def _lookup(doc: dict, path: str):
@@ -104,23 +106,22 @@ def _lookup(doc: dict, path: str):
     return value
 
 
-def _check(path: str, value, kind: tuple[tuple[type, ...], str]):
-    """``value`` if it is a JSON value of ``kind``, else a ModelFormatError
-    naming ``path``. A bool is only a boolean, though Python counts it an int,
-    and a number is one only if a float holds it: JSON integers are unbounded.
+def _check(path: str, value, kind: tuple[tuple[type, ...], str, type]):
+    """``value`` as the model keeps a JSON value of ``kind``, else a
+    ModelFormatError naming ``path``. A bool is only a boolean, though Python
+    counts it an int, and a number is one only if a float holds it: JSON
+    integers are unbounded.
     """
-    types, noun = kind
+    types, noun, keep = kind
     if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
         text = json.dumps(value, default=repr)
         raise ModelFormatError(f"malformed model document: {path}: {text} is not a JSON {noun}")
-    if float in types and isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise ModelFormatError(
-                f"malformed model document: {path}: a number too large for a float"
-            ) from None
-    return value
+    try:
+        return keep(value)
+    except OverflowError:
+        raise ModelFormatError(
+            f"malformed model document: {path}: a number too large for a float"
+        ) from None
 
 
 def _scalar(doc: dict, path: str, kind, nullable: bool = False):
@@ -132,16 +133,22 @@ def _scalar(doc: dict, path: str, kind, nullable: bool = False):
 
 def _array(doc: dict, path: str, kind):
     """The value at dotted ``path`` of ``doc``, nested lists whose every
-    entry is a JSON ``kind``; its shape is checked by ``verify_model``."""
+    entry is a JSON ``kind``, copied with each entry as ``_check`` keeps it;
+    its shape is checked by ``verify_model``."""
     value = _lookup(doc, path)
-    pending = [value]
+    if not isinstance(value, list):
+        return _check(path, value, kind)
+    copy: list = []
+    pending = [(value, copy)]
     while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        else:
-            _check(path, item, kind)
-    return value
+        items, into = pending.pop()
+        for item in items:
+            if isinstance(item, list):
+                into.append([])
+                pending.append((item, into[-1]))
+            else:
+                into.append(_check(path, item, kind))
+    return copy
 
 
 def model_from_document(doc: dict) -> PcaModel:
@@ -149,7 +156,8 @@ def model_from_document(doc: dict) -> PcaModel:
 
     Every number must be a JSON number, every mask entry a JSON boolean and
     every count or index a JSON integer: a string, a bool read as a number
-    or a float read as a count would silently change verdicts.
+    or a float read as a count would silently change verdicts. Numbers are
+    kept as floats, in the document's nested lists.
     """
     try:
         version = doc["format_version"]
@@ -176,26 +184,19 @@ def model_from_document(doc: dict) -> PcaModel:
                 token: _check(path, code, _INTEGER)
                 for token, code in _check(path, table, _OBJECT).items()
             }
-        standardizer = StandardizationParams(
-            np.asarray(_array(doc, "standardizer.mean", _NUMBER), dtype=float),
-            np.asarray(_array(doc, "standardizer.std", _NUMBER), dtype=float),
-            np.asarray(_array(doc, "standardizer.degenerate", _BOOLEAN), dtype=bool),
-        )
-        eigen = EigenPairs(
-            np.asarray(_array(doc, "eigen.values", _NUMBER), dtype=float),
-            np.asarray(_array(doc, "eigen.vectors", _NUMBER), dtype=float).T,
-        )
-        t_minor = _scalar(doc, "thresholds.t_minor", _NUMBER, nullable=True)
         model = PcaModel(
             profile=profile,
             encoder=encoder,
-            standardizer=standardizer,
-            eigen=eigen,
+            mean=_array(doc, "standardizer.mean", _NUMBER),
+            std=_array(doc, "standardizer.std", _NUMBER),
+            degenerate=_array(doc, "standardizer.degenerate", _BOOLEAN),
+            eigenvalues=_array(doc, "eigen.values", _NUMBER),
+            eigenvectors=_array(doc, "eigen.vectors", _NUMBER),
             q=_scalar(doc, "selection.q", _INTEGER),
             r=_scalar(doc, "selection.r", _INTEGER),
-            t_major=float(_scalar(doc, "thresholds.t_major", _NUMBER)),
-            t_minor=None if t_minor is None else float(t_minor),
-            metadata=dict(_check("provenance", doc.get("provenance", {}), _OBJECT)),
+            t_major=_scalar(doc, "thresholds.t_major", _NUMBER),
+            t_minor=_scalar(doc, "thresholds.t_minor", _NUMBER, nullable=True),
+            metadata=_check("provenance", doc.get("provenance", {}), _OBJECT),
         )
     except ModelFormatError:
         raise
@@ -212,19 +213,40 @@ class Residual:
     ok: bool
 
 
+def _has_shape(value, shape: tuple[int, ...]) -> bool:
+    """Whether ``value`` is nested lists of ``shape``, the shape numpy would
+    read from them: a list of the first length, each entry a list of the
+    next, and no list below the last."""
+    level = [value]
+    for n in shape:
+        if not all(isinstance(item, list) and len(item) == n for item in level):
+            return False
+        level = [entry for item in level for entry in item]
+    return not any(isinstance(item, list) for item in level)
+
+
 def eigen_residuals(model: PcaModel) -> tuple[Residual, Residual] | None:
     """(eigenvalue-sum, orthonormality) residuals against their tolerances.
 
     |sum(lambda) - p| must stay within EIGEN_SUM_TOL * p, and max |V'V - I|
-    within ORTHONORMALITY_TOL; a NaN residual fails. None when the eigen
-    block is not p values and a p x p vector matrix.
+    within ORTHONORMALITY_TOL; a NaN residual fails. The sum is ``math.fsum``'s,
+    correctly rounded; each entry of V'V is the dot product of two
+    eigenvectors in ``mvstats._fold``'s order. None when the eigen block is
+    not p values and p rows of p.
     """
     p = model.profile.p
-    vectors = model.eigen.vectors
-    if model.eigen.values.shape != (p,) or vectors.shape != (p, p):
+    values, rows = model.eigenvalues, model.eigenvectors
+    if not (_has_shape(values, (p,)) and _has_shape(rows, (p, p))):
         return None
-    sum_residual = abs(float(np.sum(model.eigen.values)) - p)
-    gram_residual = float(np.max(np.abs(vectors.T @ vectors - np.eye(p))))
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = sum(values)
+    sum_residual = abs(total - p)
+    deviations = [
+        abs(dot - (i == j)) for i, row in enumerate(rows) for j, dot in enumerate(_fold(row, rows))
+    ]
+    gram_residual = math.nan if any(d != d for d in deviations) else max(deviations)
     return (
         Residual(sum_residual, sum_residual <= EIGEN_SUM_TOL * p),
         Residual(gram_residual, gram_residual <= ORTHONORMALITY_TOL),
@@ -235,11 +257,9 @@ def verify_model(model: PcaModel) -> list[str]:
     """Integrity findings for a model; empty list means it checks out."""
     issues: list[str] = []
     p = model.profile.p
-    std = model.standardizer
-    values = model.eigen.values
-    vectors = model.eigen.vectors
+    values = model.eigenvalues
 
-    if std.mean.shape != (p,) or std.std.shape != (p,) or std.degenerate.shape != (p,):
+    if not all(_has_shape(v, (p,)) for v in (model.mean, model.std, model.degenerate)):
         issues.append("standardizer dimensions do not match the profile")
     residuals = eigen_residuals(model)
     if residuals is None:
@@ -248,17 +268,17 @@ def verify_model(model: PcaModel) -> list[str]:
         return issues
 
     checked = {
-        "mean": std.mean,
-        "std": std.std,
+        "mean": model.mean,
+        "std": model.std,
         "eigenvalues": values,
-        "eigenvectors": vectors,
-        "t_major": model.t_major,
-        "t_minor": model.t_minor,
+        "eigenvectors": [v for row in model.eigenvectors for v in row],
+        "t_major": [model.t_major],
+        "t_minor": [] if model.t_minor is None else [model.t_minor],
     }
-    for name, value in checked.items():
-        if value is not None and not np.all(np.isfinite(value)):
+    for name, numbers in checked.items():
+        if not all(map(math.isfinite, numbers)):
             issues.append(f"non-finite value in {name}")
-    if np.any((std.std <= 0) & ~std.degenerate):
+    if any(s <= 0 and not flag for s, flag in zip(model.std, model.degenerate)):
         issues.append("std is not positive on a feature not marked degenerate")
     if set(model.encoder) != set(model.profile.categorical_indices):
         issues.append("encoder positions do not match the profile's categorical features")
@@ -275,7 +295,7 @@ def verify_model(model: PcaModel) -> list[str]:
         issues.append(
             f"eigenvalue sum deviates from dimension (residual {eigen_sum.value:.3e})"
         )
-    if np.any(np.diff(values) > 0):
+    if any(b > a for a, b in zip(values, values[1:])):
         issues.append("eigenvalues are not sorted descending")
     if not 1 <= model.q <= p:
         issues.append(f"q={model.q} outside 1..{p}")
@@ -312,7 +332,9 @@ def load_model(path: str, verify: bool = True) -> PcaModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except ValueError as err:  # bad JSON, bytes not UTF-8, or an int past the digit limit
+        # bad JSON, bytes not UTF-8, an int past the digit limit, or lists
+        # nested past the interpreter's recursion limit
+        except (ValueError, RecursionError) as err:
             raise ModelFormatError(f"not a JSON model file: {err}") from err
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")

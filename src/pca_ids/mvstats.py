@@ -6,6 +6,10 @@ divisor). The eigensolver is LAPACK's symmetric driver through
 and sign. Results are reproducible for a given numpy and BLAS/LAPACK
 build, not bit-identical across platforms: the correlation matrix itself
 comes from a BLAS product.
+
+numpy is imported by each function that builds or reduces arrays, not by
+the module: the n=1 path, which scores one record's Python floats by
+``_fold``, runs without it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Eigenvalues are clipped here before any division; near-singular
 # correlation matrices (perfectly correlated features) otherwise blow up
@@ -49,18 +55,24 @@ class StandardizationParams:
     @cached_property
     def safe_std(self) -> np.ndarray:
         """The std with degenerate features set to 1, safe to divide by."""
+        import numpy as np
+
         return np.where(self.degenerate, 1.0, self.std)
 
 
 def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     """Column means and sample (n-1) standard deviations of an n x p matrix."""
+    import numpy as np
+
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an n x p matrix, got shape {data.shape}")
     if data.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows, got {data.shape[0]}")
-    mean = data.mean(axis=0)
-    std = data.std(axis=0, ddof=1)
+    # A sum or a square too large for a float gives inf, for the caller to refuse.
+    with np.errstate(over="ignore"):
+        mean = data.mean(axis=0)
+        std = data.std(axis=0, ddof=1)
     degenerate = std <= _DEGENERATE_REL_TOL * (1.0 + np.abs(mean))
     return StandardizationParams(mean, std, degenerate)
 
@@ -68,14 +80,19 @@ def fit_standardizer(data: np.ndarray) -> StandardizationParams:
 def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
     """Center and scale by the fitted parameters; degenerate features map to 0.
 
-    Accepts a single p-vector or an n x p matrix.
+    Accepts a single p-vector or an n x p matrix. A feature too large to
+    standardize becomes inf, which scores as an attack; numpy's overflow
+    warning would only repeat that.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     p = params.mean.shape[0]
     if x.shape[-1] != p:
         raise DimensionMismatch(f"expected {p} features, got {x.shape[-1]}")
-    z = x - params.mean
-    z /= params.safe_std
+    with np.errstate(over="ignore"):
+        z = x - params.mean
+        z /= params.safe_std
     z[..., params.degenerate] = 0.0
     return z
 
@@ -89,6 +106,8 @@ def correlation_matrix(
     of zero-variance features carry the identity pattern so dimensions stay
     stable.
     """
+    import numpy as np
+
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DimensionMismatch(f"expected an n x p matrix, got shape {data.shape}")
@@ -103,6 +122,8 @@ def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np
     ``fit`` standardizes its training matrix once, for this and for the
     projection.
     """
+    import numpy as np
+
     n = z.shape[0]
     if n < 2:
         raise TooFewRows(f"need at least 2 rows, got {n}")
@@ -135,6 +156,8 @@ def eigen_sym(matrix: np.ndarray) -> EigenPairs:
         ValueError: the matrix is not symmetric.
         NoConvergence: the matrix holds NaN or infinity, or LAPACK failed.
     """
+    import numpy as np
+
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -174,6 +197,8 @@ def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:
     Returns e_i . z per component, in descending-eigenvalue order, through
     ``_fold``. Accepts a single p-vector or an n x p matrix.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=float)
     p = pairs.vectors.shape[0]
     if z.shape[-1] != p:

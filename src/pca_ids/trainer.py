@@ -7,9 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import detector
 from .kdd import Dataset, FeatureProfile, encode_normals
@@ -21,6 +19,9 @@ from .mvstats import (
     standardize,
     standardized_correlation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class EmptyScores(ValueError):
@@ -68,12 +69,20 @@ PRESETS = {
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Everything the online phase needs, immutable once fitted."""
+    """Everything the online phase needs, immutable once fitted.
+
+    The numbers are Python lists laid out as the model document holds them,
+    so loading, verifying and scoring one record need no numpy.
+    ``standardizer`` and ``eigen`` give them as arrays, built on first use.
+    """
 
     profile: FeatureProfile
     encoder: dict[int, dict[str, int]]  # token tables, from kdd.encode_normals
-    standardizer: StandardizationParams
-    eigen: EigenPairs
+    mean: list[float]
+    std: list[float]
+    degenerate: list[bool]
+    eigenvalues: list[float]  # descending
+    eigenvectors: list[list[float]]  # row k pairs with eigenvalues[k]
     q: int
     r: int
     t_major: float
@@ -81,13 +90,35 @@ class PcaModel:
     metadata: dict = field(default_factory=dict)
 
     @cached_property
+    def standardizer(self) -> StandardizationParams:
+        """``mean``, ``std`` and ``degenerate`` as arrays, for matrix use."""
+        import numpy as np
+
+        return StandardizationParams(
+            np.asarray(self.mean, dtype=float),
+            np.asarray(self.std, dtype=float),
+            np.asarray(self.degenerate, dtype=bool),
+        )
+
+    @cached_property
+    def eigen(self) -> EigenPairs:
+        """The eigenpairs as arrays, eigenvectors as columns, for matrix use."""
+        import numpy as np
+
+        vectors = np.asarray(self.eigenvectors, dtype=float)
+        return EigenPairs(np.asarray(self.eigenvalues, dtype=float), vectors.T)
+
+    @cached_property
     def scorer(self) -> "detector._Scorer":
-        """The scoring constants as Python lists, built once per model."""
-        return detector._scorer(self.standardizer, self.eigen, self.q, self.r)
+        """The scoring constants, built once per model."""
+        numbers = (self.mean, self.std, self.degenerate, self.eigenvalues, self.eigenvectors)
+        return detector._scorer(*numbers, self.q, self.r)
 
 
 def select_major(eigenvalues: Sequence[float], variance_target: float) -> int:
     """Smallest q whose leading eigenvalues reach the variance target."""
+    import numpy as np
+
     values = np.asarray(eigenvalues, dtype=float)
     p = values.shape[0]
     # slack absorbs float fuzz when the target lands exactly on a cumsum
@@ -101,11 +132,15 @@ def select_major(eigenvalues: Sequence[float], variance_target: float) -> int:
 
 def select_minor(eigenvalues: Sequence[float], minor_cutoff: float) -> int:
     """Count of eigenvalues below the minor-component cutoff."""
+    import numpy as np
+
     values = np.asarray(eigenvalues, dtype=float)
     return int(np.sum(values < minor_cutoff))
 
 
 def _nearest_rank(scores: np.ndarray, fraction: float) -> float:
+    import numpy as np
+
     n = scores.shape[0]
     rank = math.ceil(fraction * n - 1e-12)
     rank = min(max(rank, 1), n)
@@ -123,6 +158,8 @@ def calibrate_thresholds(
     Returns (t_major, t_minor); t_minor is None when no minor scores are
     supplied (the r = 0 configuration).
     """
+    import numpy as np
+
     major = np.asarray(scores_major, dtype=float)
     if major.size == 0:
         raise EmptyScores("no major-component scores to calibrate on")
@@ -157,6 +194,8 @@ def fit(
             q exceeds p.
         NoConvergence: propagated from the eigensolver.
     """
+    import numpy as np
+
     config = config or TrainerConfig()
     X, encoder = encode_normals(training, profile)
     standardizer = fit_standardizer(X)
@@ -187,7 +226,16 @@ def fit(
         )
         r = shrunk
 
-    majc, minc = detector._block_scores(Z, detector._scorer(standardizer, eigen, q, r))
+    # The model's numbers, in the layout a loaded model has: the training
+    # normals are scored by the scorer that a load of this model builds.
+    numbers = {
+        "mean": standardizer.mean.tolist(),
+        "std": standardizer.std.tolist(),
+        "degenerate": standardizer.degenerate.tolist(),
+        "eigenvalues": eigen.values.tolist(),
+        "eigenvectors": eigen.vectors.T.tolist(),
+    }
+    majc, minc = detector._block_scores(Z, detector._scorer(**numbers, q=q, r=r))
     t_major, t_minor = calibrate_thresholds(
         majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
     )
@@ -204,8 +252,7 @@ def fit(
     return PcaModel(
         profile=profile,
         encoder=encoder,
-        standardizer=standardizer,
-        eigen=eigen,
+        **numbers,
         q=q,
         r=r,
         t_major=t_major,

@@ -131,7 +131,11 @@ def test_full_score_equals_mahalanobis_distance():
         if pairs.values[-1] < 1e-6:  # keep to nonsingular cases
             continue
         z = rng.normal(size=p)
-        full, _ = _score_sums(z.tolist(), _scorer(params, pairs, p, 0))
+        scorer = _scorer(
+            params.mean.tolist(), params.std.tolist(), params.degenerate.tolist(),
+            pairs.values.tolist(), pairs.vectors.T.tolist(), p, 0,
+        )
+        full, _ = _score_sums(z.tolist(), scorer)
         oracle = mahalanobis_sq(z, np.zeros(p), np.linalg.inv(r))
         worst = max(worst, abs(full - oracle) / abs(oracle))
         cases += 1

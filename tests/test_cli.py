@@ -249,6 +249,50 @@ class TestEvaluate:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("command", ["classify --input", "classify stdin", "inspect"])
+    def test_classify_and_inspect_never_import_numpy(
+        self, command, trained, corpus_lines, tmp_path
+    ):
+        # numpy's import is most of a command's start-up, and a one-record
+        # input, a live feed and inspect build no matrix
+        one = tmp_path / "one.txt"
+        one.write_text(corpus_lines[0] + "\n")
+        argv, stdin, printed = {
+            "classify --input": (
+                ["classify", "--model", trained, "--input", str(one)], None, b"verdict="
+            ),
+            "classify stdin": (["classify", "--model", trained], one.read_bytes(), b"verdict="),
+            "inspect": (["inspect", "--model", trained], None, b"profile: "),
+        }[command]
+        code = (
+            "import sys; from pca_ids.cli import main; "
+            f"assert main({argv!r}) == 0; sys.exit('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=stdin,
+            env=subprocess_env(),
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(printed)
+
+    def test_every_layer_module_imports_without_numpy(self):
+        # perfbench's tracer looks the seven layers up in sys.modules. The
+        # package loads six; cli, the entry point, is not imported by the
+        # package, or `python -m pca_ids.cli` would run it twice.
+        layers = ["kdd", "mvstats", "trainer", "detector", "evaluation", "modelio", "cli"]
+        code = (
+            "import sys, pca_ids, pca_ids.cli; "
+            f"assert all('pca_ids.' + name in sys.modules for name in {layers!r}); "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestClassify:
     def test_file_replay_matches_evaluate(self, trained, corpus_file, capsys):
@@ -452,11 +496,53 @@ class TestClassify:
         assert out.count(" unknown_token=true") == 2
         assert re.fullmatch(r"processed=11 attacks=\d+ normals=\d+ errors=4\n", err), err
 
+    @pytest.mark.parametrize("extra", [0, 1], ids=["one-block", "two-blocks"])
+    def test_first_block_boundary_matches_stdin_byte_for_byte(
+        self, extra, preset_model, corpus_lines, tmp_path, capsys, monkeypatch
+    ):
+        # An input that ends within its first block is classified one record
+        # at a time, as stdin is; one line more and it is scored as matrices.
+        n = kdd.CHUNK_LINES + extra
+        lines = [corpus_lines[k % len(corpus_lines)].split(",") for k in range(n)]
+        lines[1] = ["1", "2", "3"]
+        lines[2][2] = "zz_unseen"
+        lines[-1][4] = "1.7976931348623157e308"
+        path = tmp_path / "boundary.txt"
+        path.write_text("".join(",".join(fields) + "\n" for fields in lines))
+
+        blocks = []
+        score_records = detector.score_records
+
+        def counted(model, records):
+            blocks.append(len(records))
+            return score_records(model, records)
+
+        monkeypatch.setattr(detector, "score_records", counted)
+        from_file = run_cli_without_warnings(
+            ["classify", "--model", preset_model, "--input", str(path)], capsys
+        )
+        assert len(blocks) == 2 * extra
+        stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        from_stdin = run_cli_without_warnings(["classify", "--model", preset_model], capsys)
+        assert from_file == from_stdin
+        code, out, err = from_file
+        assert code == 0
+        out_lines = out.splitlines()
+        assert len(out_lines) == n
+        assert out_lines[1].startswith("error=")
+        assert out_lines[2].endswith(" unknown_token=true")
+        assert out_lines[-1].startswith("verdict=attack majc=inf ")
+        attacks = out.count("verdict=attack")
+        assert err == f"processed={n} attacks={attacks} normals={n - 1 - attacks} errors=1\n"
+
     def test_file_path_encodes_each_record_with_extract_features(
         self, trained, awkward, capsys, monkeypatch
     ):
         # perfbench's tracer counts unknown tokens by rebinding extract_features
-        # in every pca_ids namespace that holds it, as done here.
+        # in every pca_ids namespace that holds it, as done here; blocks of 3
+        # lines put this file on the block path, as the tracer's file is.
+        monkeypatch.setattr(kdd, "CHUNK_LINES", 3)
         original = kdd.extract_features
         results = []
 
@@ -479,7 +565,9 @@ class TestClassify:
     def test_to_line_rebound_on_the_class_is_what_both_paths_print(
         self, trained, corpus_lines, tmp_path, capsys, monkeypatch
     ):
-        # perfbench's tracer wraps Verdict.to_line on the class, as done here.
+        # perfbench's tracer wraps Verdict.to_line on the class, as done here;
+        # blocks of 2 lines put the 3-line file on the block path.
+        monkeypatch.setattr(kdd, "CHUNK_LINES", 2)
         original = detector.Verdict.to_line
         monkeypatch.setattr(detector.Verdict, "to_line", lambda self: "seen " + original(self))
         path = tmp_path / "three.txt"

@@ -23,7 +23,7 @@ from pca_ids.detector import (
 )
 from pca_ids.evaluation import evaluate
 from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, extract_features, parse_record
-from pca_ids.mvstats import EigenPairs, StandardizationParams, standardize
+from pca_ids.mvstats import standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
 from .oracles import loop_scores, mahalanobis_sq
@@ -50,8 +50,8 @@ def score_setup():
 def axes_scorer(eigenvalues, q, r):
     """A scorer whose eigenvectors are the axes, so the fold gives y = z."""
     p = len(eigenvalues)
-    identity = StandardizationParams(np.zeros(p), np.ones(p), np.zeros(p, bool))
-    return _scorer(identity, EigenPairs(eigenvalues, np.eye(p)), q, r)
+    values = np.asarray(eigenvalues, dtype=float).tolist()
+    return _scorer([0.0] * p, [1.0] * p, [False] * p, values, np.eye(p).tolist(), q, r)
 
 
 def same_scores(a, b) -> bool:
@@ -84,7 +84,10 @@ class TestScores:
 
         R = correlation_matrix(X, model.standardizer)
         r_inv = np.linalg.inv(R)
-        scorer = _scorer(model.standardizer, model.eigen, model.profile.p, 0)
+        scorer = _scorer(
+            model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors,
+            model.profile.p, 0,
+        )
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
             z = standardize(X[idx], model.standardizer)
@@ -233,7 +236,9 @@ class TestScoreRecords:
                 | st.floats(-MAX_FLOAT, MAX_FLOAT),
             )
         )
-        scorer = _scorer(model.standardizer, model.eigen, q, r)
+        scorer = _scorer(
+            model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors, q, r
+        )
         with np.errstate(over="ignore"):
             block = _block_scores(standardize(X, model.standardizer), scorer)
         for i, row in enumerate(X.tolist()):

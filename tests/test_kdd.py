@@ -588,6 +588,10 @@ class TestFeatureProfile:
         with pytest.raises(ValueError):
             FeatureProfile("bad", (3, 2))
 
+    def test_a_profile_has_an_index(self):
+        with pytest.raises(ValueError, match="at least one index"):
+            FeatureProfile("empty", ())
+
     @pytest.mark.parametrize(
         "indices, tokens",
         [

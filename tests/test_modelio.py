@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -31,6 +32,43 @@ from .conftest import make_corpus
 
 # Field 7 is 0 on every synthetic row, so this profile has a degenerate feature.
 WITH_CONSTANT = FeatureProfile("with_constant", (1, 2, 3, 4, 5, 6, 7))
+
+
+# Values of every JSON kind, and numbers that a float cannot hold or that
+# are not finite; json writes NaN and Infinity, and reads them back.
+_ODD_VALUES = st.sampled_from(
+    [None, True, False, 0, -1, 3, 10**400, 2.5, -0.0, "1.5", "", [], {}]
+    + [math.nan, math.inf, -math.inf]
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every entry below ``value``, a JSON document."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield (*prefix, key)
+        yield from _paths(item, (*prefix, key))
+
+
+def _mutation(value):
+    """A strategy for what replaces ``value``: a value of another kind, and
+    for a list also the list truncated, nested one level deeper, one entry
+    nested, or its first entry in its place."""
+    options = [_ODD_VALUES]
+    if isinstance(value, list) and value:
+        k = st.integers(0, len(value) - 1)
+        options += [
+            k.map(lambda n: value[:n]),
+            st.just([value]),
+            k.map(lambda n: [*value[:n], [value[n]], *value[n + 1 :]]),
+            st.just(value[0]),
+        ]
+    return st.one_of(options)
 
 
 @pytest.fixture()
@@ -130,6 +168,7 @@ class TestValidation:
         [
             pytest.param(b'{"format_version": 1, "profile": "\xff"}', id="not-utf8"),
             pytest.param(b'{"format_version": ' + b"9" * 5000 + b"}", id="integer-5000-digits"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000, id="lists-nested-100000-deep"),
         ],
     )
     def test_unparsable_file_is_a_format_error(self, tmp_path, content):
@@ -229,6 +268,34 @@ class TestValidation:
         model_path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=f"^malformed model document: {field}: "):
             load_model(str(model_path), verify=False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_mutated_step2_document_is_refused_or_scores(
+        self, traffic10_model, corpus_records, data
+    ):
+        # The verifier reads the document's lists itself, so no array shape
+        # error refuses a misshaped field for it: every mutation must end in
+        # one of the two refusals, or in a model that scores.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "step2.json")
+            save_model(traffic10_model, path)
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+            for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+                *parents, key = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+                target = doc
+                for part in parents:
+                    target = target[part]
+                target[key] = data.draw(_mutation(target[key]), label="value")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            try:
+                model = load_model(path)
+            except (ModelFormatError, ModelIntegrityError):
+                return
+        classify(model, corpus_records[0])
+        score_records(model, corpus_records[:5])
 
     def test_integer_threshold_is_a_number(self, model_path):
         doc = json.loads(model_path.read_text())
