@@ -1,17 +1,19 @@
-"""Fails when `train`, `evaluate` or `sweep` grows with its input past a bound.
+"""Fails when `train`, `evaluate`, `sweep` or `classify` grows with its input past a bound.
 
     python .github/scripts/memory_growth.py WORKDIR
 
 Writes seed-801 inputs with perfbench/gen.py at --units 8 (4,048 rows) and
 --units 200 (101,200 rows) under WORKDIR. Runs `train` and `evaluate`
-(step2) and `sweep` (a 60 x 60 grid) on each size in a fresh process
-and reads its peak RSS from wait4. Exits 1 when the peak grows from the
-small to the large input by more than 4 MB for `evaluate` or `sweep`, or
-30 MB for `train`. Each reads its file in blocks and keeps per record only
-what its result needs; holding every record grew each by about 50 MB here.
-`evaluate` and `sweep` keep one 8-byte tally index per record and grew
-1.5-1.6 MB (Linux, 2 vCPU, numpy 2.4); keeping both scores and the class
-code grew them 5.2-5.5 MB.
+(step2), `sweep` (a 60 x 60 grid) and `classify --input` on each size in a
+fresh process and reads its peak RSS from wait4. Exits 1 when the peak
+grows from the small to the large input by more than 4 MB for `evaluate`,
+`sweep` or `classify`, or 30 MB for `train`. Each reads its file in blocks
+and keeps per record only what its result needs; holding every record grew
+each by about 50 MB here. `evaluate` and `sweep` keep one 8-byte tally
+index per record and grew 1.5-1.6 MB (Linux, 2 vCPU, numpy 2.4); keeping
+both scores and the class code grew them 5.2-5.5 MB. `classify` writes each
+block's verdicts before it reads the next and keeps nothing per record; it
+grew 0.0-0.4 MB.
 
 Imports the standard library alone: Linux carries a process's peak RSS
 into the children it starts, so this process stays smaller than them.
@@ -26,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 UNITS = (8, 200)
-BOUND_MB = {"train": 30.0, "evaluate": 4.0, "sweep": 4.0}
+BOUND_MB = {"train": 30.0, "evaluate": 4.0, "sweep": 4.0, "classify": 4.0}
 
 
 def peak_rss_mb(argv: list[str]) -> float:
@@ -56,6 +58,7 @@ def main() -> None:
         "evaluate": lambda data: ["evaluate", "--model", model, "--data", str(data / "test.txt")],
         "sweep": lambda data: ["sweep", "--model", model, "--data", str(data / "test.txt"),
                                "--tm-grid", "1:60:60", "--tmm-grid", "0.5:30:60"],
+        "classify": lambda data: ["classify", "--model", model, "--input", str(data / "test.txt")],
     }
     failed = False
     for command, bound in BOUND_MB.items():  # train first: it writes the model evaluate reads

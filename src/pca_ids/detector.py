@@ -120,16 +120,15 @@ def _block_scores(Z: np.ndarray, scorer: _Scorer):
         return _score_sums(Z.T, scorer, np.zeros(len(Z)))
 
 
-def _exceeds(score, threshold):
+def _exceeds(score: float, threshold: float) -> bool:
     """score > threshold, where a NaN score exceeds every threshold but NaN."""
-    return (score > threshold) | ((score != score) & (threshold == threshold))
+    return score > threshold or (score != score and threshold == threshold)
 
 
-def over_thresholds(majc, minc, t_major: float, t_minor: float | None):
-    """The strict two-threshold rule: (over_major, over_minor).
+def over_thresholds(majc: float, minc: float, t_major: float, t_minor: float | None):
+    """The strict two-threshold rule on one record's scores: (over_major, over_minor).
 
-    Works on scalars and on score arrays alike; the minor test is False
-    when there is no t_minor, as for an r = 0 model.
+    The minor test is False when there is no t_minor, as for an r = 0 model.
     """
     over_minor = t_minor is not None and _exceeds(minc, t_minor)
     return _exceeds(majc, t_major), over_minor
@@ -143,13 +142,18 @@ _TRIGGERS = {
 }
 
 
+def _verdict(model: "PcaModel", majc: float, minc: float, unknown_token: bool) -> Verdict:
+    """The one verdict rule, for ``classify`` and ``classify_file``: one
+    record's two float scores against the model's thresholds."""
+    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor)]
+    return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
+
+
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
     scorer = model.scorer
-    majc, minc = _score_sums(scorer.standardize(values), scorer)
-    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor)]
-    return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
+    return _verdict(model, *_score_sums(scorer.standardize(values), scorer), unknown_token)
 
 
 def score_records(
@@ -160,7 +164,7 @@ def score_records(
     Each score is bit-identical to the one ``classify`` gives the record.
     """
     X, unknown = encode_matrix(records, model.profile, model.encoder)
-    majc, minc = _block_scores(standardize(X, model.standardizer), model.scorer)
+    majc, minc = _block_scores(standardize(X, model), model.scorer)
     return majc, minc, unknown
 
 
@@ -181,29 +185,15 @@ def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVer
 
     Reads ahead ``kdd.CHUNK_LINES`` lines at a time and scores the valid
     records of each block as one matrix with ``score_records``; the scores
-    are bit-identical to those of ``classify``.
+    are bit-identical to those of ``classify``, and ``_verdict`` thresholds
+    them as it does there.
     """
-    import numpy as np
-
     for parsed in _blocks(lines, allow_unlabeled=True):
         majc, minc, unknown = score_records(
             model, [record for _, record, _ in parsed if record is not None]
         )
-        over_major, over_minor = over_thresholds(majc, minc, model.t_major, model.t_minor)
-        # .tolist() gives the Python floats that classify puts in a Verdict;
-        # with no t_minor over_minor is a scalar False.
-        scored = zip(
-            majc.tolist(),
-            minc.tolist(),
-            over_major.tolist(),
-            np.broadcast_to(over_minor, majc.shape).tolist(),
-            unknown.tolist(),
-        )
+        # .tolist(): _verdict takes the Python floats and bools that classify has
+        scored = zip(majc.tolist(), minc.tolist(), unknown.tolist())
         for line_no, record, error in parsed:
-            if error is not None:
-                yield _new_tuple(StreamVerdict, (line_no, None, error))
-                continue
-            major, minor, is_major, is_minor, unknown_token = next(scored)
-            trigger = _TRIGGERS[is_major, is_minor]
-            verdict = (trigger is not Trigger.NONE, major, minor, trigger, unknown_token)
-            yield _new_tuple(StreamVerdict, (line_no, _new_tuple(Verdict, verdict), None))
+            verdict = None if record is None else _verdict(model, *next(scored))
+            yield _new_tuple(StreamVerdict, (line_no, verdict, error))

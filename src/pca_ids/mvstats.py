@@ -15,7 +15,7 @@ the module: the n=1 path, which scores one record's Python floats by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -52,13 +52,6 @@ class StandardizationParams:
     std: np.ndarray
     degenerate: np.ndarray  # bool mask of zero-variance features
 
-    @cached_property
-    def safe_std(self) -> np.ndarray:
-        """The std with degenerate features set to 1, safe to divide by."""
-        import numpy as np
-
-        return np.where(self.degenerate, 1.0, self.std)
-
 
 def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     """Column means and sample (n-1) standard deviations of an n x p matrix."""
@@ -77,9 +70,11 @@ def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     return StandardizationParams(mean, std, degenerate)
 
 
-def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
+def standardize(x: np.ndarray, params) -> np.ndarray:
     """Center and scale by the fitted parameters; degenerate features map to 0.
 
+    ``params`` is a ``StandardizationParams`` or a ``PcaModel``: its
+    ``mean``, ``std`` and ``degenerate`` per feature, as arrays or lists.
     Accepts a single p-vector or an n x p matrix. A feature too large to
     standardize becomes inf, which scores as an attack; numpy's overflow
     warning would only repeat that.
@@ -87,13 +82,14 @@ def standardize(x: np.ndarray, params: StandardizationParams) -> np.ndarray:
     import numpy as np
 
     x = np.asarray(x, dtype=float)
-    p = params.mean.shape[0]
+    degenerate = np.asarray(params.degenerate, dtype=bool)
+    p = degenerate.shape[0]
     if x.shape[-1] != p:
         raise DimensionMismatch(f"expected {p} features, got {x.shape[-1]}")
     with np.errstate(over="ignore"):
         z = x - params.mean
-        z /= params.safe_std
-    z[..., params.degenerate] = 0.0
+        z /= np.where(degenerate, 1.0, params.std)
+    z[..., degenerate] = 0.0
     return z
 
 
@@ -190,17 +186,3 @@ def _fold(z, columns) -> list:
     """
     return [reduce(add, map(mul, z, column)) for column in columns]
 
-
-def project(z: np.ndarray, pairs: EigenPairs) -> np.ndarray:
-    """Principal-component scores of standardized observations.
-
-    Returns e_i . z per component, in descending-eigenvalue order, through
-    ``_fold``. Accepts a single p-vector or an n x p matrix.
-    """
-    import numpy as np
-
-    z = np.asarray(z, dtype=float)
-    p = pairs.vectors.shape[0]
-    if z.shape[-1] != p:
-        raise DimensionMismatch(f"expected {p} features, got {z.shape[-1]}")
-    return np.stack(_fold(np.moveaxis(z, -1, 0), pairs.vectors.T.tolist()), axis=-1)

@@ -11,14 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import detector
 from .kdd import Dataset, FeatureProfile, encode_normals
-from .mvstats import (
-    EigenPairs,
-    StandardizationParams,
-    eigen_sym,
-    fit_standardizer,
-    standardize,
-    standardized_correlation,
-)
+from .mvstats import eigen_sym, fit_standardizer, standardize, standardized_correlation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,8 +65,8 @@ class PcaModel:
     """Everything the online phase needs, immutable once fitted.
 
     The numbers are Python lists laid out as the model document holds them,
-    so loading, verifying and scoring one record need no numpy.
-    ``standardizer`` and ``eigen`` give them as arrays, built on first use.
+    so loading, verifying and scoring one record need no numpy; a block
+    passes the model itself to ``mvstats.standardize``.
     """
 
     profile: FeatureProfile
@@ -88,25 +81,6 @@ class PcaModel:
     t_major: float
     t_minor: float | None
     metadata: dict = field(default_factory=dict)
-
-    @cached_property
-    def standardizer(self) -> StandardizationParams:
-        """``mean``, ``std`` and ``degenerate`` as arrays, for matrix use."""
-        import numpy as np
-
-        return StandardizationParams(
-            np.asarray(self.mean, dtype=float),
-            np.asarray(self.std, dtype=float),
-            np.asarray(self.degenerate, dtype=bool),
-        )
-
-    @cached_property
-    def eigen(self) -> EigenPairs:
-        """The eigenpairs as arrays, eigenvectors as columns, for matrix use."""
-        import numpy as np
-
-        vectors = np.asarray(self.eigenvectors, dtype=float)
-        return EigenPairs(np.asarray(self.eigenvalues, dtype=float), vectors.T)
 
     @cached_property
     def scorer(self) -> "detector._Scorer":

@@ -28,7 +28,6 @@ from pca_ids.mvstats import (
     correlation_matrix,
     eigen_sym,
     fit_standardizer,
-    project,
     standardize,
 )
 from pca_ids.cli import main as cli_main
@@ -170,7 +169,7 @@ def test_projected_scores_decorrelate():
         data = rng.normal(size=(1000, p)) @ mixing
         params = fit_standardizer(data)
         pairs = eigen_sym(correlation_matrix(data, params))
-        scores = project(standardize(data, params), pairs)
+        scores = standardize(data, params) @ pairs.vectors
         cov = np.cov(scores, rowvar=False, ddof=1)
         worst = max(worst, float(np.max(np.abs(cov - np.diag(pairs.values)))))
     ok = worst < DECORRELATION_TOL

@@ -80,9 +80,12 @@ class TestScores:
         model = basic6_model
         normals = corpus_normals
         X, _ = encode_matrix(normals, model.profile, model.encoder)
-        from pca_ids.mvstats import correlation_matrix
+        from pca_ids.mvstats import StandardizationParams, correlation_matrix
 
-        R = correlation_matrix(X, model.standardizer)
+        params = StandardizationParams(
+            *(np.asarray(v) for v in (model.mean, model.std, model.degenerate))
+        )
+        R = correlation_matrix(X, params)
         r_inv = np.linalg.inv(R)
         scorer = _scorer(
             model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors,
@@ -90,7 +93,7 @@ class TestScores:
         )
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
-            z = standardize(X[idx], model.standardizer)
+            z = standardize(X[idx], model)
             full, _ = _score_sums(z.tolist(), scorer)
             oracle = mahalanobis_sq(z, np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
@@ -190,9 +193,8 @@ class TestScoreRecords:
     def test_classify_equals_score_records_bitwise(self, preset_model, corpus_records):
         # both equal the literal loops of the stated summation order
         model = preset_model
-        std, eigen = model.standardizer, model.eigen
-        constants = (std.mean, std.std, std.degenerate, eigen.vectors, eigen.values)
-        constants = [array.tolist() for array in constants]
+        columns = [list(row) for row in zip(*model.eigenvectors)]  # vectors[j][k]
+        constants = (model.mean, model.std, model.degenerate, columns, model.eigenvalues)
         majc, minc, unknown = score_records(model, corpus_records)
         for i, record in enumerate(corpus_records):
             verdict = classify(model, record)
@@ -221,10 +223,14 @@ class TestScoreRecords:
     @given(data=st.data())
     def test_float_scores_equal_block_scores(self, preset_model, data):
         # A record scored alone as Python floats (classify) must give its row
-        # of a block (score_records, fit) for every (q, r) split, overflowing
-        # values and their inf or NaN scores included.
-        model = preset_model
-        p = model.profile.p
+        # of a block (score_records, fit) for every (q, r) split and every
+        # degenerate mask, overflowing values and their inf or NaN scores
+        # included. The preset models have no degenerate column, so flipped
+        # flags, a list as in a loaded model, reach both standardizations.
+        p = preset_model.profile.p
+        flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p), label="flips")
+        degenerate = [flag != flip for flag, flip in zip(preset_model.degenerate, flips)]
+        model = dataclasses.replace(preset_model, degenerate=degenerate)
         q = data.draw(st.integers(0, p), label="q")
         r = data.draw(st.integers(0, p - q), label="r")
         X = data.draw(
@@ -240,7 +246,7 @@ class TestScoreRecords:
             model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors, q, r
         )
         with np.errstate(over="ignore"):
-            block = _block_scores(standardize(X, model.standardizer), scorer)
+            block = _block_scores(standardize(X, model), scorer)
         for i, row in enumerate(X.tolist()):
             alone = _score_sums(scorer.standardize(row), scorer)
             assert same_scores(alone, (block[0][i], block[1][i]))

@@ -83,10 +83,10 @@ class TestRoundTrip:
         loaded = load_model(str(model_path))
         assert loaded.profile == basic6_model.profile
         assert loaded.encoder == basic6_model.encoder
-        assert np.array_equal(loaded.standardizer.mean, basic6_model.standardizer.mean)
-        assert np.array_equal(loaded.standardizer.std, basic6_model.standardizer.std)
-        assert np.array_equal(loaded.eigen.values, basic6_model.eigen.values)
-        assert np.array_equal(loaded.eigen.vectors, basic6_model.eigen.vectors)
+        assert np.array_equal(loaded.mean, basic6_model.mean)
+        assert np.array_equal(loaded.std, basic6_model.std)
+        assert np.array_equal(loaded.eigenvalues, basic6_model.eigenvalues)
+        assert np.array_equal(loaded.eigenvectors, basic6_model.eigenvectors)
         assert loaded.q == basic6_model.q
         assert loaded.r == basic6_model.r
         assert loaded.t_major == basic6_model.t_major

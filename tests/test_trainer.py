@@ -98,7 +98,7 @@ class TestTrainerConfig:
 
 class TestFit:
     def test_eigenvalues_sum_to_dimension(self, basic6_model):
-        total = float(np.sum(basic6_model.eigen.values))
+        total = float(np.sum(basic6_model.eigenvalues))
         assert abs(total - 6.0) < 1e-9 * 6
 
     def test_trains_on_normals_only(self, basic6_model, corpus_counts):
@@ -115,8 +115,8 @@ class TestFit:
         line = ",".join(["3"] + ["tcp", "http", "SF"] + ["7"] * 37 + ["normal"])
         records = [parse_record(line) for _ in range(20)]
         model = fit(Dataset("constant", [records]), BASIC6)
-        assert model.standardizer.degenerate.all()
-        assert np.allclose(model.eigen.values, 1.0)
+        assert all(model.degenerate)
+        assert np.allclose(model.eigenvalues, 1.0)
         assert model.q == math.ceil(0.60 * 6)
         assert model.r == 0
         assert model.t_major == 0.0
@@ -146,9 +146,9 @@ class TestFit:
     def test_duplication_invariance(self, corpus_records, basic6_model):
         doubled = Dataset("doubled", [corpus_records, corpus_records])
         model2 = fit(doubled, BASIC6)
-        assert np.allclose(model2.standardizer.mean, basic6_model.standardizer.mean, rtol=1e-12)
-        assert np.allclose(model2.eigen.values, basic6_model.eigen.values, atol=1e-9)
-        assert np.allclose(model2.eigen.vectors, basic6_model.eigen.vectors, atol=1e-8)
+        assert np.allclose(model2.mean, basic6_model.mean, rtol=1e-12)
+        assert np.allclose(model2.eigenvalues, basic6_model.eigenvalues, atol=1e-9)
+        assert np.allclose(model2.eigenvectors, basic6_model.eigenvectors, atol=1e-8)
 
     def test_training_false_alarm_rate_bounded(self, corpus_normals, basic6_model):
         from pca_ids.detector import score_records
@@ -162,9 +162,9 @@ class TestFit:
     def test_fit_is_deterministic(self, corpus_file):
         models = [fit(Dataset(corpus_file), BASIC6) for _ in range(2)]
         a, b = models
-        assert np.array_equal(a.eigen.values, b.eigen.values)
-        assert np.array_equal(a.eigen.vectors, b.eigen.vectors)
-        assert np.array_equal(a.standardizer.mean, b.standardizer.mean)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+        assert np.array_equal(a.mean, b.mean)
         assert a.t_major == b.t_major
         assert a.encoder == b.encoder
 
