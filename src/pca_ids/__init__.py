@@ -26,7 +26,6 @@ from .mvstats import (
     correlation_matrix,
     eigen_sym,
     fit_standardizer,
-    standardize,
 )
 from .trainer import (
     PRESETS,

@@ -25,7 +25,7 @@ from .evaluation import (
 from .kdd import DECODE_ERRORS, PROFILES, Dataset, open_text
 from .modelio import eigen_residuals, load_model, save_model, verify_model
 from .mvstats import NoConvergence
-from .trainer import PRESETS, TrainerConfig, fit
+from .trainer import PRESETS, SETTING_RANGES, TrainerConfig, fit
 
 
 def grid_spec(text: str) -> list[float]:
@@ -51,6 +51,21 @@ def grid_spec(text: str) -> list[float]:
     return sorted(set(np.linspace(lo, hi, steps).tolist()))
 
 
+def _setting(name: str, convert):
+    """An argparse type for a ``train`` setting's flag: a value out of the
+    setting's range is a usage error that names the flag, before any reading."""
+    ok, wording = SETTING_RANGES[name]
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's wording: "invalid int value: 'abc'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pca-ids",
@@ -71,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PRESETS),
         help="named configuration (fixes profile and q/r)",
     )
-    train.add_argument("--variance-target", type=float, default=None)
-    train.add_argument("--minor-cutoff", type=float, default=None)
-    train.add_argument("--alpha-major", type=float, default=None)
-    train.add_argument("--alpha-minor", type=float, default=None)
-    train.add_argument("--q", type=int, default=None, help="major-component count")
-    train.add_argument("--r", type=int, default=None, help="minor-component count")
+    train.add_argument("--variance-target", type=_setting("variance_target", float))
+    train.add_argument("--minor-cutoff", type=_setting("minor_cutoff", float))
+    train.add_argument("--alpha-major", type=_setting("alpha_major", float))
+    train.add_argument("--alpha-minor", type=_setting("alpha_minor", float))
+    train.add_argument("--q", type=_setting("q_override", int), help="major-component count")
+    train.add_argument("--r", type=_setting("r_override", int), help="minor-component count")
 
     ev = sub.add_parser("evaluate", help="score a labeled dataset and report metrics")
     ev.add_argument("--model", required=True)
@@ -148,6 +163,10 @@ def cmd_train(args, parser: argparse.ArgumentParser) -> int:
         profile = PROFILES[args.profile]
     else:
         parser.error("one of --profile or --preset is required")
+    if args.q is not None and args.q > profile.p:  # the one range that needs the profile
+        parser.error(
+            f"argument --q: must be <= {profile.p}, the p of {profile.name}, got '{args.q}'"
+        )
 
     config = _trainer_config(args)
     with _reading(args.data) as dataset:

@@ -23,7 +23,7 @@ from .kdd import (
     encode_matrix,
     extract_features,
 )
-from .mvstats import EIGENVALUE_FLOOR, _fold, standardize
+from .mvstats import EIGENVALUE_FLOOR, _fold, _standardize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,32 +68,19 @@ class StreamVerdict(NamedTuple):
 
 
 class _Scorer(NamedTuple):
-    """A model's scoring constants as lists: standardizer mean, safe std and
-    degenerate positions; the scored eigenvector columns and floored eigenvalues."""
+    """A model's scoring constants as lists: the scored eigenvector columns
+    and their floored eigenvalues, the q major ones first."""
 
-    mean: list[float]
-    std: list[float]
-    degenerate: list[int]
     columns: list[list[float]]
     floored: list[float]
     q: int
 
-    def standardize(self, x: list[float]) -> list[float]:
-        """``mvstats.standardize`` of one record's floats, by the same IEEE steps."""
-        z = [(v - m) / s for v, m, s in zip(x, self.mean, self.std)]
-        for j in self.degenerate:
-            z[j] = 0.0
-        return z
 
-
-def _scorer(mean, std, degenerate, eigenvalues, eigenvectors, q: int, r: int) -> _Scorer:
+def _scorer(eigenvalues, eigenvectors, q: int, r: int) -> _Scorer:
     """The constants ``PcaModel.scorer`` holds, and ``fit`` scores with, from
     a model's lists: row k of ``eigenvectors`` pairs with ``eigenvalues[k]``."""
     scored = [*range(q), *range(-r, 0)]  # the first q and the last r
     return _Scorer(
-        mean,
-        [1.0 if flag else s for s, flag in zip(std, degenerate)],
-        [j for j, flag in enumerate(degenerate) if flag],
         [eigenvectors[k] for k in scored],
         [max(eigenvalues[k], EIGENVALUE_FLOOR) for k in scored],
         q,
@@ -104,34 +91,17 @@ def _score_sums(z, scorer: _Scorer, zero=0.0):
     """The one scorer: sums of y_i^2 / lambda_i over the q major and the r minor
     components of ``mvstats._fold``, each added to ``zero`` in component order.
     ``z`` is p standardized floats, or a block's p columns with a zero column as
-    ``zero``. Not ``y ** 2``: a float's raises OverflowError, not inf.
+    ``zero``. Not ``y ** 2``: a float's raises OverflowError, not inf. A block's
+    inf, or NaN from inf * 0 or inf - inf, is an attack as alone: callers
+    ignore numpy's warnings of them.
     """
     terms = [y * y / f for y, f in zip(_fold(z, scorer.columns), scorer.floored)]
     return reduce(add, terms[: scorer.q], zero), reduce(add, terms[scorer.q :], zero)
 
 
-def _block_scores(Z: np.ndarray, scorer: _Scorer):
-    """(major, minor) arrays of a standardized n x p block, for ``score_records`` and ``fit``."""
-    import numpy as np
-
-    # an overflowing record scores inf, or folds inf * 0 or inf - inf to
-    # NaN: an attack either way, as in classify
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _score_sums(Z.T, scorer, np.zeros(len(Z)))
-
-
 def _exceeds(score: float, threshold: float) -> bool:
     """score > threshold, where a NaN score exceeds every threshold but NaN."""
     return score > threshold or (score != score and threshold == threshold)
-
-
-def over_thresholds(majc: float, minc: float, t_major: float, t_minor: float | None):
-    """The strict two-threshold rule on one record's scores: (over_major, over_minor).
-
-    The minor test is False when there is no t_minor, as for an r = 0 model.
-    """
-    over_minor = t_minor is not None and _exceeds(minc, t_minor)
-    return _exceeds(majc, t_major), over_minor
 
 
 _TRIGGERS = {
@@ -144,16 +114,17 @@ _TRIGGERS = {
 
 def _verdict(model: "PcaModel", majc: float, minc: float, unknown_token: bool) -> Verdict:
     """The one verdict rule, for ``classify`` and ``classify_file``: one
-    record's two float scores against the model's thresholds."""
-    trigger = _TRIGGERS[over_thresholds(majc, minc, model.t_major, model.t_minor)]
+    record's two float scores, each strictly over its threshold or NaN. The
+    minor test runs only when the model has a t_minor, so never at r = 0."""
+    over_minor = model.t_minor is not None and _exceeds(minc, model.t_minor)
+    trigger = _TRIGGERS[_exceeds(majc, model.t_major), over_minor]
     return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
 
 
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
-    scorer = model.scorer
-    return _verdict(model, *_score_sums(scorer.standardize(values), scorer), unknown_token)
+    return _verdict(model, *_score_sums(_standardize(values, model), model.scorer), unknown_token)
 
 
 def score_records(
@@ -163,8 +134,12 @@ def score_records(
 
     Each score is bit-identical to the one ``classify`` gives the record.
     """
+    import numpy as np
+
     X, unknown = encode_matrix(records, model.profile, model.encoder)
-    majc, minc = _block_scores(standardize(X, model), model.scorer)
+    zero = np.zeros(len(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        majc, minc = _score_sums(_standardize(X.T, model, zero), model.scorer, zero)
     return majc, minc, unknown
 
 

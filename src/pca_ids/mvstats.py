@@ -8,8 +8,8 @@ build, not bit-identical across platforms: the correlation matrix itself
 comes from a BLAS product.
 
 numpy is imported by each function that builds or reduces arrays, not by
-the module: the n=1 path, which scores one record's Python floats by
-``_fold``, runs without it.
+the module: the n=1 path, which standardizes and projects one record's
+Python floats by ``_standardize`` and ``_fold``, runs without it.
 """
 
 from __future__ import annotations
@@ -70,27 +70,20 @@ def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     return StandardizationParams(mean, std, degenerate)
 
 
-def standardize(x: np.ndarray, params) -> np.ndarray:
-    """Center and scale by the fitted parameters; degenerate features map to 0.
-
-    ``params`` is a ``StandardizationParams`` or a ``PcaModel``: its
-    ``mean``, ``std`` and ``degenerate`` per feature, as arrays or lists.
-    Accepts a single p-vector or an n x p matrix. A feature too large to
-    standardize becomes inf, which scores as an attack; numpy's overflow
-    warning would only repeat that.
+def _standardize(x, params, zero=0.0) -> list:
+    """The one standardization: z_j = (x_j - mean_j) / std_j, or ``zero`` at a
+    degenerate feature, by the ``mean``, ``std`` and ``degenerate`` of
+    ``params``, a ``StandardizationParams`` or a ``PcaModel``. ``x`` is one
+    record's p floats, or a block's p columns with a zero column as ``zero``:
+    one IEEE division each, so a record gets the same bits alone and in any
+    block. A value too large to standardize becomes inf, an attack.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    degenerate = np.asarray(params.degenerate, dtype=bool)
-    p = degenerate.shape[0]
-    if x.shape[-1] != p:
-        raise DimensionMismatch(f"expected {p} features, got {x.shape[-1]}")
-    with np.errstate(over="ignore"):
-        z = x - params.mean
-        z /= np.where(degenerate, 1.0, params.std)
-    z[..., degenerate] = 0.0
-    return z
+    if len(x) != len(params.degenerate):
+        raise DimensionMismatch(f"expected {len(params.degenerate)} features, got {len(x)}")
+    return [
+        zero if flag else (v - m) / s
+        for v, m, s, flag in zip(x, params.mean, params.std, params.degenerate)
+    ]
 
 
 def correlation_matrix(
@@ -109,14 +102,16 @@ def correlation_matrix(
         raise DimensionMismatch(f"expected an n x p matrix, got shape {data.shape}")
     if params is None:
         params = fit_standardizer(data)
-    return standardized_correlation(standardize(data, params), params)
+    with np.errstate(over="ignore"):
+        columns = _standardize(data.T, params, np.zeros(len(data)))
+    return standardized_correlation(np.column_stack(columns), params)
 
 
 def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np.ndarray:
     """``correlation_matrix`` of the data that ``params`` standardized to ``z``.
 
-    ``fit`` standardizes its training matrix once, for this and for the
-    projection.
+    ``fit`` stacks its standardized training columns into ``z`` once, for
+    this; the projection reads the columns.
     """
     import numpy as np
 

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import detector
 from .kdd import Dataset, FeatureProfile, encode_normals
-from .mvstats import eigen_sym, fit_standardizer, standardize, standardized_correlation
+from .mvstats import _standardize, eigen_sym, fit_standardizer, standardized_correlation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -19,6 +19,18 @@ if TYPE_CHECKING:
 
 class EmptyScores(ValueError):
     """Threshold calibration got an empty score list."""
+
+
+# Each setting's range as (test, wording): TrainerConfig refuses a value
+# outside it, and the CLI refuses the setting's flag outside it as usage.
+SETTING_RANGES = {
+    "variance_target": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "minor_cutoff": (lambda v: 0.0 < v < math.inf, "finite and positive"),  # NaN fails
+    "alpha_major": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "alpha_minor": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "q_override": (lambda v: v is None or v >= 1, ">= 1"),
+    "r_override": (lambda v: v is None or v >= 0, ">= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -39,18 +51,9 @@ class TrainerConfig:
     r_override: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.variance_target <= 1.0:
-            raise ValueError("variance_target must be in (0, 1]")
-        if not 0.0 < self.minor_cutoff < math.inf:  # NaN fails both tests
-            raise ValueError("minor_cutoff must be finite and positive")
-        for name in ("alpha_major", "alpha_minor"):
-            alpha = getattr(self, name)
-            if not 0.0 < alpha < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
-        if self.q_override is not None and self.q_override < 1:
-            raise ValueError("q_override must be >= 1")
-        if self.r_override is not None and self.r_override < 0:
-            raise ValueError("r_override must be >= 0")
+        for name, (ok, wording) in SETTING_RANGES.items():
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {wording}")
 
 
 # The two experiment setups shipped as one-flag presets.
@@ -65,8 +68,8 @@ class PcaModel:
     """Everything the online phase needs, immutable once fitted.
 
     The numbers are Python lists laid out as the model document holds them,
-    so loading, verifying and scoring one record need no numpy; a block
-    passes the model itself to ``mvstats.standardize``.
+    so loading, verifying and scoring one record need no numpy; a record
+    and a block both pass the model itself to ``mvstats._standardize``.
     """
 
     profile: FeatureProfile
@@ -85,8 +88,7 @@ class PcaModel:
     @cached_property
     def scorer(self) -> "detector._Scorer":
         """The scoring constants, built once per model."""
-        numbers = (self.mean, self.std, self.degenerate, self.eigenvalues, self.eigenvectors)
-        return detector._scorer(*numbers, self.q, self.r)
+        return detector._scorer(self.eigenvalues, self.eigenvectors, self.q, self.r)
 
 
 def select_major(eigenvalues: Sequence[float], variance_target: float) -> int:
@@ -180,9 +182,11 @@ def fit(
             f"non-finite mean or std of {', '.join(names)} over the training "
             "normals: values too large to standardize"
         )
-    Z = standardize(X, standardizer)
-    del X  # the one n x p matrix kept from here on is Z
-    eigen = eigen_sym(standardized_correlation(Z, standardizer))
+    zero = np.zeros(len(X))
+    with np.errstate(over="ignore"):  # an overflow becomes inf, which eigen_sym refuses
+        columns = _standardize(X.T, standardizer, zero)
+    del X  # the one n x p copy kept from here on; stacked only for the correlation
+    eigen = eigen_sym(standardized_correlation(np.column_stack(columns), standardizer))
     p = profile.p
 
     auto_q = select_major(eigen.values, config.variance_target)
@@ -209,7 +213,9 @@ def fit(
         "eigenvalues": eigen.values.tolist(),
         "eigenvectors": eigen.vectors.T.tolist(),
     }
-    majc, minc = detector._block_scores(Z, detector._scorer(**numbers, q=q, r=r))
+    scorer = detector._scorer(numbers["eigenvalues"], numbers["eigenvectors"], q, r)
+    with np.errstate(over="ignore", invalid="ignore"):  # see detector._score_sums
+        majc, minc = detector._score_sums(columns, scorer, zero)
     t_major, t_minor = calibrate_thresholds(
         majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
     )

@@ -28,7 +28,6 @@ from pca_ids.mvstats import (
     correlation_matrix,
     eigen_sym,
     fit_standardizer,
-    standardize,
 )
 from pca_ids.cli import main as cli_main
 from pca_ids.trainer import TrainerConfig, fit
@@ -130,10 +129,7 @@ def test_full_score_equals_mahalanobis_distance():
         if pairs.values[-1] < 1e-6:  # keep to nonsingular cases
             continue
         z = rng.normal(size=p)
-        scorer = _scorer(
-            params.mean.tolist(), params.std.tolist(), params.degenerate.tolist(),
-            pairs.values.tolist(), pairs.vectors.T.tolist(), p, 0,
-        )
+        scorer = _scorer(pairs.values.tolist(), pairs.vectors.T.tolist(), p, 0)
         full, _ = _score_sums(z.tolist(), scorer)
         oracle = mahalanobis_sq(z, np.zeros(p), np.linalg.inv(r))
         worst = max(worst, abs(full - oracle) / abs(oracle))
@@ -169,7 +165,7 @@ def test_projected_scores_decorrelate():
         data = rng.normal(size=(1000, p)) @ mixing
         params = fit_standardizer(data)
         pairs = eigen_sym(correlation_matrix(data, params))
-        scores = standardize(data, params) @ pairs.vectors
+        scores = ((data - params.mean) / params.std) @ pairs.vectors
         cov = np.cov(scores, rowvar=False, ddof=1)
         worst = max(worst, float(np.max(np.abs(cov - np.diag(pairs.values)))))
     ok = worst < DECORRELATION_TOL

@@ -177,9 +177,34 @@ class TestTrain:
              "--minor-cutoff", cutoff, "--out", str(out_path)],
             capsys,
         )
-        assert code == 1
-        assert re.fullmatch(r"error: minor_cutoff .*\n", err), err
+        assert code == 2
+        assert f"error: argument --minor-cutoff: must be finite and positive, got '{cutoff}'" in err
         assert out == ""  # no dataset summary: the data was never read
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, wording",
+        [
+            ("--q", "0", ">= 1"),
+            ("--q", "7", "<= 6, the p of basic6"),
+            ("--r", "-1", ">= 0"),
+            ("--alpha-major", "1.5", "in (0, 1)"),
+            ("--alpha-minor", "0", "in (0, 1)"),
+            ("--variance-target", "0", "in (0, 1]"),
+            ("--minor-cutoff", "nan", "finite and positive"),
+        ],
+    )
+    def test_setting_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value, wording):
+        # --data does not exist: the refusal comes before the file is read
+        out_path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            ["train", "--data", str(tmp_path / "nope.txt"), "--profile", "basic6",
+             flag, value, "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert err.endswith(f"error: argument {flag}: must be {wording}, got '{value}'\n"), err
+        assert out == ""
         assert not out_path.exists()
 
     def test_unreadable_data_is_runtime_error(self, tmp_path, capsys):

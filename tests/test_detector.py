@@ -1,6 +1,9 @@
 """Scoring, the two-threshold decision rule, and stream classification."""
 
+import collections
 import dataclasses
+import functools
+import inspect
 import math
 import sys
 
@@ -9,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pca_ids import detector, kdd, mvstats
 from pca_ids.detector import (
     StreamVerdict,
     Trigger,
     Verdict,
-    _block_scores,
     _score_sums,
     _scorer,
     classify,
@@ -23,7 +26,7 @@ from pca_ids.detector import (
 )
 from pca_ids.evaluation import evaluate
 from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, extract_features, parse_record
-from pca_ids.mvstats import standardize
+from pca_ids.mvstats import _standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
 from .oracles import loop_scores, mahalanobis_sq
@@ -51,7 +54,7 @@ def axes_scorer(eigenvalues, q, r):
     """A scorer whose eigenvectors are the axes, so the fold gives y = z."""
     p = len(eigenvalues)
     values = np.asarray(eigenvalues, dtype=float).tolist()
-    return _scorer([0.0] * p, [1.0] * p, [False] * p, values, np.eye(p).tolist(), q, r)
+    return _scorer(values, np.eye(p).tolist(), q, r)
 
 
 def same_scores(a, b) -> bool:
@@ -87,15 +90,12 @@ class TestScores:
         )
         R = correlation_matrix(X, params)
         r_inv = np.linalg.inv(R)
-        scorer = _scorer(
-            model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors,
-            model.profile.p, 0,
-        )
+        scorer = _scorer(model.eigenvalues, model.eigenvectors, model.profile.p, 0)
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
-            z = standardize(X[idx], model)
-            full, _ = _score_sums(z.tolist(), scorer)
-            oracle = mahalanobis_sq(z, np.zeros(model.profile.p), r_inv)
+            z = _standardize(X[idx].tolist(), model)
+            full, _ = _score_sums(z, scorer)
+            oracle = mahalanobis_sq(np.array(z), np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
 
     def test_partition_identity(self, score_setup):
@@ -226,7 +226,7 @@ class TestScoreRecords:
         # of a block (score_records, fit) for every (q, r) split and every
         # degenerate mask, overflowing values and their inf or NaN scores
         # included. The preset models have no degenerate column, so flipped
-        # flags, a list as in a loaded model, reach both standardizations.
+        # flags, a list as in a loaded model, reach both forms of _standardize.
         p = preset_model.profile.p
         flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p), label="flips")
         degenerate = [flag != flip for flag, flip in zip(preset_model.degenerate, flips)]
@@ -242,13 +242,12 @@ class TestScoreRecords:
                 | st.floats(-MAX_FLOAT, MAX_FLOAT),
             )
         )
-        scorer = _scorer(
-            model.mean, model.std, model.degenerate, model.eigenvalues, model.eigenvectors, q, r
-        )
-        with np.errstate(over="ignore"):
-            block = _block_scores(standardize(X, model), scorer)
+        scorer = _scorer(model.eigenvalues, model.eigenvectors, q, r)
+        zero = np.zeros(len(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = _score_sums(_standardize(X.T, model, zero), scorer, zero)
         for i, row in enumerate(X.tolist()):
-            alone = _score_sums(scorer.standardize(row), scorer)
+            alone = _score_sums(_standardize(row, model), scorer)
             assert same_scores(alone, (block[0][i], block[1][i]))
 
     @settings(max_examples=60, deadline=None)
@@ -406,3 +405,52 @@ class TestVerdictTypes:
             assert [type(item) for item in items] == [StreamVerdict] * 3
             assert [type(item.verdict) for item in items] == [Verdict, type(None), Verdict]
             assert [item.error is None for item in items] == [True, False, True]
+
+
+def count_public_calls(monkeypatch) -> collections.Counter:
+    """Wrap every public module-level function of ``detector`` and ``mvstats``
+    with a call counter, rebound in each ``pca_ids`` namespace that holds it,
+    as perfbench's tracer rebinds its span wrappers."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = {
+        id(fn): counted(f"{module.__name__}.{name}", fn)
+        for module in (detector, mvstats)
+        for name, fn in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(fn)
+        and fn.__module__ == module.__name__
+    }
+    for module_name, namespace in list(sys.modules.items()):
+        if module_name.split(".")[0] == "pca_ids":
+            for attr, value in list(vars(namespace).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(namespace, attr, wrappers[id(value)])
+    return counts
+
+
+class TestPublicCalls:
+    """A public function is one span per call when perfbench traces, so the
+    per-record work of classify_stream and classify_file calls none but
+    classify."""
+
+    def test_no_hidden_per_record_public_call(self, traffic10_model, corpus_lines, monkeypatch):
+        lines = corpus_lines[:50]
+        # this module's names stay the originals, so the entry calls go uncounted
+        counts = count_public_calls(monkeypatch)
+        assert len(list(classify_stream(traffic10_model, lines))) == 50
+        assert set(counts) == {"pca_ids.detector.classify"}, counts
+
+        counts.clear()
+        monkeypatch.setattr(kdd, "CHUNK_LINES", 17)  # three blocks
+        assert len(list(classify_file(traffic10_model, lines))) == 50
+        assert counts["pca_ids.detector.score_records"] == 3
+        assert max(counts.values()) <= 3, counts

@@ -10,8 +10,8 @@ from pca_ids.mvstats import (
     TooFewRows,
     correlation_matrix,
     eigen_sym,
+    _standardize,
     fit_standardizer,
-    standardize,
 )
 
 from .oracles import mahalanobis_sq, pairwise_correlation, welford_mean_std
@@ -48,24 +48,42 @@ class TestStandardizer:
         assert np.allclose(params.std, std, rtol=1e-10)
 
 
+def standardized(x, params) -> np.ndarray:
+    """``_standardize`` of a p-vector as Python floats, or of an n x p matrix
+    by its numpy columns, restacked."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return np.array(_standardize(x.tolist(), params))
+    return np.column_stack(_standardize(x.T, params, np.zeros(len(x))))
+
+
+def forms(x):
+    """A p-vector alone, and as each row of a 3-row block."""
+    x = np.asarray(x, dtype=float)
+    return x, np.tile(x, (3, 1))
+
+
 class TestStandardize:
+    """``_standardize`` on one record's floats and on a block's columns."""
+
     @pytest.fixture()
     def params(self):
         rng = np.random.default_rng(3)
         return fit_standardizer(rng.normal(size=(50, 4)))
 
     def test_mean_maps_to_zero(self, params):
-        assert np.allclose(standardize(params.mean, params), 0.0)
+        for x in forms(params.mean):
+            assert np.allclose(standardized(x, params), 0.0)
 
     def test_mean_plus_std_maps_to_ones(self, params):
-        z = standardize(params.mean + params.std, params)
-        assert np.allclose(z, 1.0)
+        for x in forms(params.mean + params.std):
+            assert np.allclose(standardized(x, params), 1.0)
 
     def test_degenerate_feature_maps_to_zero(self):
         data = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]])
         params = fit_standardizer(data)
-        z = standardize(np.array([123.0, 2.0]), params)
-        assert z[0] == 0.0
+        for x in forms([123.0, 2.0]):
+            assert np.all(standardized(x, params)[..., 0] == 0.0)
 
     @pytest.mark.parametrize("shape", [(3,), (7, 3)])
     def test_bit_identical_to_the_formula(self, shape):
@@ -76,11 +94,12 @@ class TestStandardize:
         x = rng.normal(size=shape) * 1e4
         safe_std = np.where(params.degenerate, 1.0, params.std)
         expected = np.where(params.degenerate, 0.0, (x - params.mean) / safe_std)
-        assert standardize(x, params).tobytes() == expected.tobytes()
+        assert standardized(x, params).tobytes() == expected.tobytes()
 
     def test_dimension_mismatch(self, params):
-        with pytest.raises(DimensionMismatch):
-            standardize(np.zeros(5), params)
+        for x in forms(np.zeros(5)):
+            with pytest.raises(DimensionMismatch):
+                standardized(x, params)
 
 
 class TestCorrelation:
@@ -202,6 +221,6 @@ class TestProject:
         data = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 5))
         params = fit_standardizer(data)
         pairs = eigen_sym(correlation_matrix(data, params))
-        scores = standardize(data, params) @ pairs.vectors
+        scores = ((data - params.mean) / params.std) @ pairs.vectors
         variances = np.var(scores, axis=0, ddof=1)
         assert np.array_equal(np.argsort(-variances), np.arange(5))
