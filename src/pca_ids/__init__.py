@@ -23,7 +23,6 @@ from .kdd import (
 from .mvstats import (
     EigenPairs,
     StandardizationParams,
-    correlation_matrix,
     eigen_sym,
     fit_standardizer,
 )

@@ -10,9 +10,8 @@ normal.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .kdd import (
@@ -23,7 +22,7 @@ from .kdd import (
     encode_matrix,
     extract_features,
 )
-from .mvstats import EIGENVALUE_FLOOR, _fold, _standardize
+from .mvstats import EIGENVALUE_FLOOR, _standardize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,36 +66,58 @@ class StreamVerdict(NamedTuple):
     error: str | None = None
 
 
-class _Scorer(NamedTuple):
-    """A model's scoring constants as lists: the scored eigenvector columns
-    and their floored eigenvalues, the q major ones first."""
-
-    columns: list[list[float]]
-    floored: list[float]
-    q: int
-
-
-def _scorer(eigenvalues, eigenvectors, q: int, r: int) -> _Scorer:
-    """The constants ``PcaModel.scorer`` holds, and ``fit`` scores with, from
-    a model's lists: row k of ``eigenvectors`` pairs with ``eigenvalues[k]``."""
-    scored = [*range(q), *range(-r, 0)]  # the first q and the last r
-    return _Scorer(
-        [eigenvectors[k] for k in scored],
-        [max(eigenvalues[k], EIGENVALUE_FLOOR) for k in scored],
-        q,
-    )
+def _literal(value, name: str) -> str:
+    """The source text of one of a scorer's constants: the ``repr`` of a finite
+    float, which reads back as the same float. A NaN or infinity is refused
+    by ``name``; its ``repr`` would not even be a Python literal."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"cannot score with {name} = {number!r}: not a finite number")
+    return repr(number)
 
 
-def _score_sums(z, scorer: _Scorer, zero=0.0):
-    """The one scorer: sums of y_i^2 / lambda_i over the q major and the r minor
-    components of ``mvstats._fold``, each added to ``zero`` in component order.
-    ``z`` is p standardized floats, or a block's p columns with a zero column as
-    ``zero``. Not ``y ** 2``: a float's raises OverflowError, not inf. A block's
-    inf, or NaN from inf * 0 or inf - inf, is an attack as alone: callers
-    ignore numpy's warnings of them.
+def _scorer(eigenvalues, eigenvectors, q: int, r: int):
+    """The one scorer of a model, compiled once from its lists (row k of
+    ``eigenvectors`` pairs with ``eigenvalues[k]``): ``score(z, zero=0.0)``
+    returns the sums of y_i^2 / lambda_i over the q major and the r minor
+    components, with lambda_i floored at ``EIGENVALUE_FLOOR``.
+
+    The body is the stated order written out, one IEEE operation per
+    statement, with the model's numbers as literals: y_i = z_1*v_1i, then
+    y_i = y_i + z_j*v_ji in profile order; each score is ``zero``, then adds
+    y_i*y_i/lambda_i in component order. ``z`` is one record's p standardized
+    floats, or a block's p columns with a zero column as ``zero``, so a record
+    scores to the same bits alone and in any block. Not ``y ** 2``: a float's
+    raises OverflowError, not inf. A block's inf, or NaN from inf * 0 or
+    inf - inf, is an attack as alone: callers ignore numpy's warnings of them.
+    One statement per term keeps even p = q + r = 41 within the compiler's
+    nesting limits.
+
+    Raises:
+        ValueError: a scored constant is NaN or infinite, or a scored
+            eigenvector does not have p entries.
     """
-    terms = [y * y / f for y, f in zip(_fold(z, scorer.columns), scorer.floored)]
-    return reduce(add, terms[: scorer.q], zero), reduce(add, terms[scorer.q :], zero)
+    p = len(eigenvalues)
+    scored = [*range(q), *range(p - r, p)]  # the first q and the last r
+    body = [", ".join(f"z{j}" for j in range(p)) + ", = z"]
+    for i, k in enumerate(scored):
+        row = eigenvectors[k]
+        if len(row) != p:
+            raise ValueError(f"eigenvectors[{k}] has {len(row)} entries, not {p}")
+        terms = [f"z{j} * {_literal(v, f'eigenvectors[{k}][{j}]')}" for j, v in enumerate(row)]
+        body.append(f"y{i} = {terms[0]}")
+        body += [f"y{i} = y{i} + {term}" for term in terms[1:]]
+    for total, components in (("major", range(q)), ("minor", range(q, len(scored)))):
+        body.append(f"{total} = zero")
+        for i in components:
+            k = scored[i]
+            floored = _literal(max(eigenvalues[k], EIGENVALUE_FLOOR), f"eigenvalues[{k}]")
+            body.append(f"{total} = {total} + y{i} * y{i} / {floored}")
+    body.append("return major, minor")
+    source = "def score(z, zero=0.0):\n" + "".join(f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, "<pca_ids.detector._scorer>", "exec"), namespace)
+    return namespace["score"]
 
 
 def _exceeds(score: float, threshold: float) -> bool:
@@ -124,7 +145,7 @@ def _verdict(model: "PcaModel", majc: float, minc: float, unknown_token: bool) -
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
     """Score one record against the model and apply the two-threshold rule."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
-    return _verdict(model, *_score_sums(_standardize(values, model), model.scorer), unknown_token)
+    return _verdict(model, *model.scorer(_standardize(values, model)), unknown_token)
 
 
 def score_records(
@@ -139,7 +160,7 @@ def score_records(
     X, unknown = encode_matrix(records, model.profile, model.encoder)
     zero = np.zeros(len(X))
     with np.errstate(over="ignore", invalid="ignore"):
-        majc, minc = _score_sums(_standardize(X.T, model, zero), model.scorer, zero)
+        majc, minc = model.scorer(_standardize(X.T, model, zero), zero)
     return majc, minc, unknown
 
 

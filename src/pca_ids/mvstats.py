@@ -8,8 +8,9 @@ build, not bit-identical across platforms: the correlation matrix itself
 comes from a BLAS product.
 
 numpy is imported by each function that builds or reduces arrays, not by
-the module: the n=1 path, which standardizes and projects one record's
-Python floats by ``_standardize`` and ``_fold``, runs without it.
+the module: ``_standardize``, which the n=1 path runs on one record's
+Python floats, and ``_fold``, which ``modelio`` checks a model's lists
+with, run without it.
 """
 
 from __future__ import annotations
@@ -86,32 +87,14 @@ def _standardize(x, params, zero=0.0) -> list:
     ]
 
 
-def correlation_matrix(
-    data: np.ndarray, params: StandardizationParams | None = None
-) -> np.ndarray:
-    """Sample correlation matrix of an n x p data matrix.
+def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np.ndarray:
+    """Sample correlation matrix of the data that ``params`` standardized to
+    ``z``, an n x p matrix.
 
     The result is exactly symmetric with a unit diagonal; rows and columns
     of zero-variance features carry the identity pattern so dimensions stay
-    stable.
-    """
-    import numpy as np
-
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"expected an n x p matrix, got shape {data.shape}")
-    if params is None:
-        params = fit_standardizer(data)
-    with np.errstate(over="ignore"):
-        columns = _standardize(data.T, params, np.zeros(len(data)))
-    return standardized_correlation(np.column_stack(columns), params)
-
-
-def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np.ndarray:
-    """``correlation_matrix`` of the data that ``params`` standardized to ``z``.
-
-    ``fit`` stacks its standardized training columns into ``z`` once, for
-    this; the projection reads the columns.
+    stable. ``fit`` stacks its standardized training columns into ``z``
+    once, for this; its scorer reads the columns.
     """
     import numpy as np
 
@@ -173,11 +156,10 @@ def eigen_sym(matrix: np.ndarray) -> EigenPairs:
 
 
 def _fold(z, columns) -> list:
-    """The one projection order: y_k = ((z_1*v_1k + z_2*v_2k) + ...) per column v_k.
-
-    ``z`` is one record's p standardized floats, or a block's p numpy
-    columns. Each step is one IEEE operation, so a record projects to the
-    same bits alone and in any block, on any numpy and any Python.
+    """Dot products in the scores' projection order: y_k = ((z_1*v_1k +
+    z_2*v_2k) + ...) per column v_k, one IEEE operation per step, as
+    ``detector._scorer`` writes them out per model. ``modelio.eigen_residuals``
+    takes the Gram matrix of a model's eigenvectors by it.
     """
     return [reduce(add, map(mul, z, column)) for column in columns]
 

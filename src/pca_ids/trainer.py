@@ -86,8 +86,9 @@ class PcaModel:
     metadata: dict = field(default_factory=dict)
 
     @cached_property
-    def scorer(self) -> "detector._Scorer":
-        """The scoring constants, built once per model."""
+    def scorer(self):
+        """This model's compiled ``detector._scorer``, built once per model:
+        ``scorer(z, zero=0.0) -> (major, minor)``."""
         return detector._scorer(self.eigenvalues, self.eigenvectors, self.q, self.r)
 
 
@@ -214,8 +215,8 @@ def fit(
         "eigenvectors": eigen.vectors.T.tolist(),
     }
     scorer = detector._scorer(numbers["eigenvalues"], numbers["eigenvectors"], q, r)
-    with np.errstate(over="ignore", invalid="ignore"):  # see detector._score_sums
-        majc, minc = detector._score_sums(columns, scorer, zero)
+    with np.errstate(over="ignore", invalid="ignore"):  # see detector._scorer
+        majc, minc = scorer(columns, zero)
     t_major, t_minor = calibrate_thresholds(
         majc, minc if r > 0 else None, config.alpha_major, config.alpha_minor
     )

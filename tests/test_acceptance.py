@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from pca_ids.detector import _score_sums, _scorer, score_records
+from pca_ids.detector import _scorer, score_records
 from pca_ids.evaluation import ConfusionMatrix, metrics, sweep
 from pca_ids.kdd import (
     BASIC6,
@@ -24,15 +24,11 @@ from pca_ids.kdd import (
     Dataset,
     parse_record,
 )
-from pca_ids.mvstats import (
-    correlation_matrix,
-    eigen_sym,
-    fit_standardizer,
-)
+from pca_ids.mvstats import eigen_sym, fit_standardizer
 from pca_ids.cli import main as cli_main
 from pca_ids.trainer import TrainerConfig, fit
 
-from .conftest import make_corpus, read_through
+from .conftest import correlation_of, make_corpus, read_through
 from .oracles import cubic_eigenvalues, mahalanobis_sq
 
 EIGEN_SUM_TOL = 1e-9          # relative to dimension
@@ -96,7 +92,7 @@ def eigen_corpus():
     for _ in range(200):
         p = int(rng.integers(2, 11))
         n = int(rng.integers(p + 5, 80))
-        r = correlation_matrix(rng.normal(size=(n, p)))
+        r = correlation_of(rng.normal(size=(n, p)))
         out.append((p, r, eigen_sym(r)))
     elapsed = time.perf_counter() - start
     return out, elapsed
@@ -124,13 +120,13 @@ def test_full_score_equals_mahalanobis_distance():
         p = int(rng.integers(2, 9))
         data = rng.normal(size=(60, p))
         params = fit_standardizer(data)
-        r = correlation_matrix(data, params)
+        r = correlation_of(data, params)
         pairs = eigen_sym(r)
         if pairs.values[-1] < 1e-6:  # keep to nonsingular cases
             continue
         z = rng.normal(size=p)
-        scorer = _scorer(pairs.values.tolist(), pairs.vectors.T.tolist(), p, 0)
-        full, _ = _score_sums(z.tolist(), scorer)
+        score = _scorer(pairs.values.tolist(), pairs.vectors.T.tolist(), p, 0)
+        full, _ = score(z.tolist())
         oracle = mahalanobis_sq(z, np.zeros(p), np.linalg.inv(r))
         worst = max(worst, abs(full - oracle) / abs(oracle))
         cases += 1
@@ -164,7 +160,7 @@ def test_projected_scores_decorrelate():
         mixing = rng.normal(size=(p, p))
         data = rng.normal(size=(1000, p)) @ mixing
         params = fit_standardizer(data)
-        pairs = eigen_sym(correlation_matrix(data, params))
+        pairs = eigen_sym(correlation_of(data, params))
         scores = ((data - params.mean) / params.std) @ pairs.vectors
         cov = np.cov(scores, rowvar=False, ddof=1)
         worst = max(worst, float(np.max(np.abs(cov - np.diag(pairs.values)))))
@@ -246,7 +242,7 @@ def test_eigensolver_matches_cubic_roots():
     worst_residual = 0.0
     for _ in range(20):
         mixing = rng.normal(size=(3, 3))
-        r = correlation_matrix(rng.normal(size=(200, 3)) @ mixing)
+        r = correlation_of(rng.normal(size=(200, 3)) @ mixing)
         pairs = eigen_sym(r)
         roots = cubic_eigenvalues(r)
         worst_value = max(worst_value, float(np.max(np.abs(pairs.values - roots))))

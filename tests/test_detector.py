@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
 import sys
 
 import numpy as np
@@ -17,7 +18,6 @@ from pca_ids.detector import (
     StreamVerdict,
     Trigger,
     Verdict,
-    _score_sums,
     _scorer,
     classify,
     classify_file,
@@ -29,6 +29,7 @@ from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, extract_featur
 from pca_ids.mvstats import _standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
+from .conftest import correlation_of
 from .oracles import loop_scores, mahalanobis_sq
 from .test_kdd import fields_for, line_for
 
@@ -67,34 +68,34 @@ class TestScores:
     # their own floored values
     def test_zero_vector_scores_zero(self, score_setup):
         _, eigenvalues = score_setup
-        assert _score_sums([0.0] * 8, axes_scorer(eigenvalues, 3, 2)) == (0.0, 0.0)
+        assert axes_scorer(eigenvalues, 3, 2)([0.0] * 8) == (0.0, 0.0)
 
     def test_unit_contribution_on_leading_axis(self, score_setup):
         _, eigenvalues = score_setup
         y = [float(np.sqrt(eigenvalues[0]))] + [0.0] * 7
-        assert _score_sums(y, axes_scorer(eigenvalues, 1, 0))[0] == pytest.approx(1.0, rel=1e-12)
+        assert axes_scorer(eigenvalues, 1, 0)(y)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_r_zero_is_always_zero(self, score_setup):
         y, eigenvalues = score_setup
-        assert _score_sums(y, axes_scorer(eigenvalues, 3, 0))[1] == 0.0
+        assert axes_scorer(eigenvalues, 3, 0)(y)[1] == 0.0
 
     def test_full_major_score_is_mahalanobis(self, basic6_model, corpus_normals):
         # with q = p the score is the full quadratic form z' R^-1 z
         model = basic6_model
         normals = corpus_normals
         X, _ = encode_matrix(normals, model.profile, model.encoder)
-        from pca_ids.mvstats import StandardizationParams, correlation_matrix
+        from pca_ids.mvstats import StandardizationParams
 
         params = StandardizationParams(
             *(np.asarray(v) for v in (model.mean, model.std, model.degenerate))
         )
-        R = correlation_matrix(X, params)
+        R = correlation_of(X, params)
         r_inv = np.linalg.inv(R)
-        scorer = _scorer(model.eigenvalues, model.eigenvectors, model.profile.p, 0)
+        score = _scorer(model.eigenvalues, model.eigenvectors, model.profile.p, 0)
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
             z = _standardize(X[idx].tolist(), model)
-            full, _ = _score_sums(z, scorer)
+            full, _ = score(z)
             oracle = mahalanobis_sq(np.array(z), np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
 
@@ -104,9 +105,56 @@ class TestScores:
         middle = float(
             np.sum(np.square(y[q : 8 - r]) / eigenvalues[q : 8 - r])
         )
-        total, _ = _score_sums(y, axes_scorer(eigenvalues, 8, 0))
-        major, minor = _score_sums(y, axes_scorer(eigenvalues, q, r))
+        total, _ = axes_scorer(eigenvalues, 8, 0)(y)
+        major, minor = axes_scorer(eigenvalues, q, r)(y)
         assert total == pytest.approx(major + middle + minor, rel=1e-12)
+
+
+class TestCompiledScorer:
+    """``_scorer`` writes a model's scores out as straight-line source with the
+    model's numbers as literals, and compiles it once."""
+
+    @pytest.mark.parametrize("q, r", [(41, 0), (20, 21), (1, 40)])
+    def test_largest_profile_equals_loop_oracle(self, q, r):
+        # p = q + r = 41, every field of a record: 1,681 terms, one statement
+        # each, so no expression nests past the compiler's limits
+        p = 41
+        rng = np.random.default_rng(41)
+        vectors, _ = np.linalg.qr(rng.normal(size=(p, p)))  # orthonormal columns
+        values = np.sort(rng.uniform(0.0, 3.0, size=p))[::-1]
+        values[-1] = 1e-300  # compiled as the floor, 1e-12, not refused
+        X = rng.normal(size=(9, p)) * 10.0
+        score = _scorer(values.tolist(), vectors.T.tolist(), q, r)
+        block = score(list(X.T), np.zeros(len(X)))
+        # mean 0 and std 1 leave each x_j as its own z_j, bit for bit
+        constants = ([0.0] * p, [1.0] * p, [False] * p, vectors.tolist(), values.tolist())
+        for i, x in enumerate(X.tolist()):
+            oracle = loop_scores(x, *constants, q, r)
+            assert score(x) == oracle
+            assert (block[0][i], block[1][i]) == oracle
+
+    @pytest.mark.parametrize(
+        "field, index, value, name",
+        [
+            ("eigenvectors", (2, 5), math.inf, "eigenvectors[2][5]"),
+            ("eigenvectors", (9, 0), math.nan, "eigenvectors[9][0]"),
+            ("eigenvectors", (0, 9), -math.inf, "eigenvectors[0][9]"),
+            ("eigenvalues", (8,), math.nan, "eigenvalues[8]"),
+            ("eigenvalues", (1,), math.inf, "eigenvalues[1]"),
+        ],
+    )
+    def test_non_finite_constant_is_refused_by_name(self, traffic10_model, field, index, value, name):
+        # only load_model(verify=False) holds such a model; its repr, inf or
+        # nan, would reach the source as an unknown name
+        eigenvalues = list(traffic10_model.eigenvalues)
+        eigenvectors = [list(row) for row in traffic10_model.eigenvectors]
+        numbers = eigenvectors[index[0]] if field == "eigenvectors" else eigenvalues
+        numbers[index[-1]] = value
+        model = dataclasses.replace(
+            traffic10_model, eigenvalues=eigenvalues, eigenvectors=eigenvectors
+        )
+        with pytest.raises(ValueError, match=re.escape(name)):
+            model.scorer
 
 
 class TestClassify:
@@ -242,12 +290,12 @@ class TestScoreRecords:
                 | st.floats(-MAX_FLOAT, MAX_FLOAT),
             )
         )
-        scorer = _scorer(model.eigenvalues, model.eigenvectors, q, r)
+        score = _scorer(model.eigenvalues, model.eigenvectors, q, r)
         zero = np.zeros(len(X))
         with np.errstate(over="ignore", invalid="ignore"):
-            block = _score_sums(_standardize(X.T, model, zero), scorer, zero)
+            block = score(_standardize(X.T, model, zero), zero)
         for i, row in enumerate(X.tolist()):
-            alone = _score_sums(_standardize(row, model), scorer)
+            alone = score(_standardize(row, model))
             assert same_scores(alone, (block[0][i], block[1][i]))
 
     @settings(max_examples=60, deadline=None)
@@ -444,13 +492,20 @@ class TestPublicCalls:
 
     def test_no_hidden_per_record_public_call(self, traffic10_model, corpus_lines, monkeypatch):
         lines = corpus_lines[:50]
+        model = dataclasses.replace(traffic10_model)  # a copy with no scorer built yet
         # this module's names stay the originals, so the entry calls go uncounted
         counts = count_public_calls(monkeypatch)
-        assert len(list(classify_stream(traffic10_model, lines))) == 50
+        # the compile is private, so counted apart: PcaModel.scorer caches it,
+        # and without the cache it would run once per record
+        builds = []
+        build = detector._scorer
+        monkeypatch.setattr(detector, "_scorer", lambda *args: builds.append(args) or build(*args))
+        assert len(list(classify_stream(model, lines))) == 50
         assert set(counts) == {"pca_ids.detector.classify"}, counts
 
         counts.clear()
         monkeypatch.setattr(kdd, "CHUNK_LINES", 17)  # three blocks
-        assert len(list(classify_file(traffic10_model, lines))) == 50
+        assert len(list(classify_file(model, lines))) == 50
         assert counts["pca_ids.detector.score_records"] == 3
         assert max(counts.values()) <= 3, counts
+        assert len(builds) == 1

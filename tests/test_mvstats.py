@@ -8,12 +8,12 @@ from pca_ids.mvstats import (
     DimensionMismatch,
     NoConvergence,
     TooFewRows,
-    correlation_matrix,
     eigen_sym,
     _standardize,
     fit_standardizer,
 )
 
+from .conftest import correlation_of
 from .oracles import mahalanobis_sq, pairwise_correlation, welford_mean_std
 
 
@@ -106,7 +106,7 @@ class TestCorrelation:
     def test_perfectly_correlated_columns(self):
         x = np.arange(10.0)
         data = np.column_stack([x, 2.0 * x])
-        r = correlation_matrix(data)
+        r = correlation_of(data)
         assert r[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert r[0, 0] == 1.0
 
@@ -114,26 +114,26 @@ class TestCorrelation:
         data = np.array(
             [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]
         )
-        r = correlation_matrix(data)
+        r = correlation_of(data)
         assert r[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(17)
         data = rng.normal(size=(50, 4)) @ rng.normal(size=(4, 4))
-        r = correlation_matrix(data)
+        r = correlation_of(data)
         expected = pairwise_correlation(data)
         assert np.max(np.abs(r - expected)) < 1e-12
 
     def test_exactly_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(23)
-        r = correlation_matrix(rng.normal(size=(80, 6)))
+        r = correlation_of(rng.normal(size=(80, 6)))
         assert np.array_equal(r, r.T)
         assert np.all(np.diag(r) == 1.0)
         assert np.all(np.abs(r) <= 1.0)
 
     def test_degenerate_feature_gets_identity_pattern(self):
         data = np.column_stack([np.full(20, 3.0), np.arange(20.0), np.arange(20.0) ** 2])
-        r = correlation_matrix(data)
+        r = correlation_of(data)
         assert r[0, 0] == 1.0
         assert np.all(r[0, 1:] == 0.0)
         assert np.all(r[1:, 0] == 0.0)
@@ -220,7 +220,7 @@ class TestProject:
         rng = np.random.default_rng(97)
         data = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 5))
         params = fit_standardizer(data)
-        pairs = eigen_sym(correlation_matrix(data, params))
+        pairs = eigen_sym(correlation_of(data, params))
         scores = ((data - params.mean) / params.std) @ pairs.vectors
         variances = np.var(scores, axis=0, ddof=1)
         assert np.array_equal(np.argsort(-variances), np.arange(5))

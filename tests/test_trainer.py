@@ -11,7 +11,6 @@ from pca_ids.kdd import (
     EmptyDatasetError,
     parse_record,
 )
-from pca_ids.mvstats import correlation_matrix
 from pca_ids.trainer import (
     EmptyScores,
     TrainerConfig,
@@ -21,6 +20,7 @@ from pca_ids.trainer import (
     select_minor,
 )
 
+from .conftest import correlation_of
 from .oracles import cubic_eigenvalues
 
 
@@ -127,7 +127,7 @@ class TestFit:
         latent = rng.normal(size=(500, 3))
         mixing = np.array([[1.0, 0.6, 0.0], [0.0, 1.0, 0.3], [0.2, 0.0, 1.0]])
         X = latent @ mixing
-        r = correlation_matrix(X)
+        r = correlation_of(X)
         from pca_ids.mvstats import eigen_sym
 
         pairs = eigen_sym(r)
