@@ -7,15 +7,15 @@ Writes seed-801 inputs with perfbench/gen.py at --units 8 (4,048 rows) and
 (step2), `sweep` (a 60 x 60 grid) and `classify --input` on each size in a
 fresh process and reads its peak RSS from wait4. Exits 1 when the peak
 grows from the small to the large input by more than 4 MB for `evaluate`,
-`sweep` or `classify`, or 18 MB for `train`. Each reads its file in blocks
-and keeps per record only what its result needs; holding every record grew
-each by about 50 MB here. `train` keeps its normals' n x p matrix, then
+`sweep` or `classify`, or 18 MB for `train`. Each reads its file in blocks,
+or `classify` one line at a time, and keeps per record only what its result
+needs; holding every record grew each by about 50 MB here. `train` keeps its normals' n x p matrix, then
 their standardized columns in its place, and grew 12.6-13.1 MB; one more
 n x p copy would add about 6.4 MB (80k normals x 10 features x 8 B). `evaluate` and `sweep` keep one 8-byte tally
 index per record and grew 1.5-1.6 MB (Linux, 2 vCPU, numpy 2.4); keeping
 both scores and the class code grew them 5.2-5.5 MB. `classify` writes each
-block's verdicts before it reads the next and keeps nothing per record; it
-grew 0.0-0.4 MB.
+line's verdict before it reads the next line and keeps nothing per record; it
+grew -0.1 MB (16.1 to 16.0 MB; it imports no numpy).
 
 Imports the standard library alone: Linux carries a process's peak RSS
 into the children it starts, so this process stays smaller than them.

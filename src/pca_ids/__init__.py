@@ -39,7 +39,6 @@ from .detector import (
     Trigger,
     Verdict,
     classify,
-    classify_file,
     classify_stream,
     score_records,
 )

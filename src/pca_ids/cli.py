@@ -11,11 +11,9 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from itertools import chain, islice
 from typing import Iterator
 
-from . import kdd
-from .detector import StreamVerdict, classify_file, classify_stream
+from .detector import classify_stream
 from .evaluation import (
     evaluate,
     format_text_report,
@@ -206,22 +204,10 @@ def _quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _classify_input(model, source) -> Iterator[StreamVerdict]:
-    """``classify_file``, or ``classify_stream`` for an input that ends
-    within its first ``kdd.CHUNK_LINES`` block: one block saves less than
-    numpy's import costs."""
-    head = list(islice(source, kdd.CHUNK_LINES + 1))
-    if len(head) <= kdd.CHUNK_LINES:
-        yield from classify_stream(model, head)
-    else:
-        yield from classify_file(model, chain(head, source))
-
-
 def cmd_classify(args) -> int:
     model = load_model(args.model)
     if args.input:
         source = open_text(args.input)
-        items = _classify_input(model, source)
     else:
         source = sys.stdin
         if isinstance(source, io.TextIOWrapper):
@@ -231,10 +217,9 @@ def cmd_classify(args) -> int:
         # A live feed must see each verdict as it is made, not at EOF.
         if isinstance(sys.stdout, io.TextIOWrapper):
             sys.stdout.reconfigure(line_buffering=True)
-        items = classify_stream(model, source)
     attacks = normals = errors = 0
     try:
-        for item in items:
+        for item in classify_stream(model, source):
             if item.error is not None:
                 errors += 1
                 print(f"error={_quoted(item.error)} line={item.line_no}")

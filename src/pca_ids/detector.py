@@ -10,19 +10,11 @@ normal.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .kdd import (
-    ConnectionRecord,
-    _blocks,
-    _new_tuple,
-    _parse_lines,
-    encode_matrix,
-    extract_features,
-)
-from .mvstats import EIGENVALUE_FLOOR, _standardize
+from .kdd import ConnectionRecord, _new_tuple, _parse_lines, encode_matrix, extract_features
+from .mvstats import EIGENVALUE_FLOOR, _literal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,21 +51,11 @@ class Verdict(NamedTuple):
 
 
 class StreamVerdict(NamedTuple):
-    """One classify_stream or classify_file item: a verdict or a per-line error."""
+    """One classify_stream item: a verdict or a per-line error."""
 
     line_no: int
     verdict: Verdict | None = None
     error: str | None = None
-
-
-def _literal(value, name: str) -> str:
-    """The source text of one of a scorer's constants: the ``repr`` of a finite
-    float, which reads back as the same float. A NaN or infinity is refused
-    by ``name``; its ``repr`` would not even be a Python literal."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"cannot score with {name} = {number!r}: not a finite number")
-    return repr(number)
 
 
 def _scorer(eigenvalues, eigenvectors, q: int, r: int):
@@ -134,18 +116,20 @@ _TRIGGERS = {
 
 
 def _verdict(model: "PcaModel", majc: float, minc: float, unknown_token: bool) -> Verdict:
-    """The one verdict rule, for ``classify`` and ``classify_file``: one
-    record's two float scores, each strictly over its threshold or NaN. The
-    minor test runs only when the model has a t_minor, so never at r = 0."""
+    """The one verdict rule, which ``classify`` applies to every record, read
+    from a file or a feed: one record's two float scores, each strictly over
+    its threshold or NaN. The minor test runs only when the model has a
+    t_minor, so never at r = 0."""
     over_minor = model.t_minor is not None and _exceeds(minc, model.t_minor)
     trigger = _TRIGGERS[_exceeds(majc, model.t_major), over_minor]
     return _new_tuple(Verdict, (trigger is not Trigger.NONE, majc, minc, trigger, unknown_token))
 
 
 def classify(model: "PcaModel", record: ConnectionRecord) -> Verdict:
-    """Score one record against the model and apply the two-threshold rule."""
+    """Score one record against the model and apply the two-threshold rule:
+    the model's compiled standardize and scorer on its Python floats."""
     values, unknown_token = extract_features(record, model.profile, model.encoder)
-    return _verdict(model, *model.scorer(_standardize(values, model)), unknown_token)
+    return _verdict(model, *model.scorer(model.standardize(values)), unknown_token)
 
 
 def score_records(
@@ -154,13 +138,15 @@ def score_records(
     """Score many records as one matrix; returns (major, minor, unknown-flag).
 
     Each score is bit-identical to the one ``classify`` gives the record.
+    ``evaluate`` and ``sweep`` score their blocks with it; ``classify`` never
+    does, so it imports no numpy.
     """
     import numpy as np
 
     X, unknown = encode_matrix(records, model.profile, model.encoder)
     zero = np.zeros(len(X))
     with np.errstate(over="ignore", invalid="ignore"):
-        majc, minc = model.scorer(_standardize(X.T, model, zero), zero)
+        majc, minc = model.scorer(model.standardize(X.T, zero), zero)
     return majc, minc, unknown
 
 
@@ -168,28 +154,10 @@ def classify_stream(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamV
     """Classify a stream of NSL-KDD text lines, one item per non-blank line.
 
     Each line is scored as it arrives, so a live feed gets its verdict
-    before the next line is read. Malformed lines yield an error item
-    instead of stopping the stream; order follows the input.
+    before the next line is read; a file is read the same way, one line at a
+    time. Malformed lines yield an error item instead of stopping the
+    stream; order follows the input.
     """
     for line_no, record, error in _parse_lines(enumerate(lines, start=1), allow_unlabeled=True):
         verdict = None if record is None else classify(model, record)
         yield _new_tuple(StreamVerdict, (line_no, verdict, error))
-
-
-def classify_file(model: "PcaModel", lines: Iterable[str]) -> Iterator[StreamVerdict]:
-    """``classify_stream`` for input that is all there: the same items, faster.
-
-    Reads ahead ``kdd.CHUNK_LINES`` lines at a time and scores the valid
-    records of each block as one matrix with ``score_records``; the scores
-    are bit-identical to those of ``classify``, and ``_verdict`` thresholds
-    them as it does there.
-    """
-    for parsed in _blocks(lines, allow_unlabeled=True):
-        majc, minc, unknown = score_records(
-            model, [record for _, record, _ in parsed if record is not None]
-        )
-        # .tolist(): _verdict takes the Python floats and bools that classify has
-        scored = zip(majc.tolist(), minc.tolist(), unknown.tolist())
-        for line_no, record, error in parsed:
-            verdict = None if record is None else _verdict(model, *next(scored))
-            yield _new_tuple(StreamVerdict, (line_no, verdict, error))

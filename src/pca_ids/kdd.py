@@ -36,7 +36,8 @@ DECODE_ERRORS = "surrogateescape"
 # How many malformed rows a Dataset keeps the line number and message of.
 MAX_ERROR_DETAIL = 10
 
-# Lines that every file command reads ahead and handles as one block.
+# Lines that train, evaluate and sweep read ahead and handle as one block;
+# classify reads one line at a time.
 CHUNK_LINES = 1024
 
 # 1-based positions of the token-valued features in the 41-column layout.
@@ -247,7 +248,7 @@ def _parse_lines(
     """(line_no, record, None) per non-blank line, (line_no, None, error) if malformed.
 
     The one line loop: ``classify_stream`` reads its lines through it, and
-    every file command through ``_blocks``. Private, so a tracer that wraps
+    ``Dataset`` through ``_blocks``. Private, so a tracer that wraps
     public names adds no span per item.
     """
     for line_no, line in numbered:
@@ -262,14 +263,15 @@ def _parse_lines(
 
 
 def _blocks(
-    lines: Iterable[str], allow_unlabeled: bool = False
+    lines: Iterable[str],
 ) -> Iterator[list[tuple[int, ConnectionRecord | None, str | None]]]:
-    """The one block loop: the ``_parse_lines`` items of CHUNK_LINES lines
-    at a time, numbered from 1. ``classify_file`` and ``Dataset`` read
-    their files through it, and each handles a block as one matrix."""
+    """The one block loop: the ``_parse_lines`` items of CHUNK_LINES labeled
+    lines at a time, numbered from 1. ``Dataset`` reads its file through it,
+    for ``train``, ``evaluate`` and ``sweep``, and each handles a block as
+    one matrix; ``classify`` reads one line at a time."""
     numbered = enumerate(lines, start=1)
     while chunk := list(islice(numbered, CHUNK_LINES)):
-        yield list(_parse_lines(chunk, allow_unlabeled))
+        yield list(_parse_lines(chunk))
 
 
 def open_text(path: str):

@@ -8,13 +8,14 @@ build, not bit-identical across platforms: the correlation matrix itself
 comes from a BLAS product.
 
 numpy is imported by each function that builds or reduces arrays, not by
-the module: ``_standardize``, which the n=1 path runs on one record's
-Python floats, and ``_fold``, which ``modelio`` checks a model's lists
-with, run without it.
+the module: ``_standardizer``, whose compiled function the n=1 path runs on
+one record's Python floats, and ``_fold``, which ``modelio`` checks a
+model's lists with, run without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
@@ -71,20 +72,47 @@ def fit_standardizer(data: np.ndarray) -> StandardizationParams:
     return StandardizationParams(mean, std, degenerate)
 
 
-def _standardize(x, params, zero=0.0) -> list:
-    """The one standardization: z_j = (x_j - mean_j) / std_j, or ``zero`` at a
-    degenerate feature, by the ``mean``, ``std`` and ``degenerate`` of
-    ``params``, a ``StandardizationParams`` or a ``PcaModel``. ``x`` is one
-    record's p floats, or a block's p columns with a zero column as ``zero``:
-    one IEEE division each, so a record gets the same bits alone and in any
+def _literal(value, name: str) -> str:
+    """The source text of one of a compiled function's constants: the ``repr``
+    of a finite float, which reads back as the same float. A NaN or infinity
+    is refused by ``name``; its ``repr`` would not even be a Python literal."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"cannot score with {name} = {number!r}: not a finite number")
+    return repr(number)
+
+
+def _standardizer(mean, std, degenerate):
+    """The one standardization of a model, compiled once from its lists:
+    ``standardize(x, zero=0.0)`` returns z_j = (x_j - mean_j) / std_j, or
+    ``zero`` at a degenerate feature.
+
+    The body unpacks ``x`` and returns one list display, with the model's
+    numbers as ``repr`` literals: one IEEE subtraction and one division per
+    feature. ``x`` is one record's p floats, or a block's p columns with a
+    zero column as ``zero``, so a record gets the same bits alone and in any
     block. A value too large to standardize becomes inf, an attack.
+
+    Raises:
+        ValueError: a used mean or std is NaN or infinite, or the three
+            lists differ in length. The function raises
+            ``DimensionMismatch`` when ``x`` does not have p entries.
     """
-    if len(x) != len(params.degenerate):
-        raise DimensionMismatch(f"expected {len(params.degenerate)} features, got {len(x)}")
-    return [
-        zero if flag else (v - m) / s
-        for v, m, s, flag in zip(x, params.mean, params.std, params.degenerate)
+    p = len(degenerate)
+    terms = [
+        "zero" if flag else f"(x{j} - {_literal(m, f'mean[{j}]')}) / {_literal(s, f'std[{j}]')}"
+        for j, (m, s, flag) in enumerate(zip(mean, std, degenerate, strict=True))
     ]
+    source = (
+        "def standardize(x, zero=0.0):\n"
+        f"    if len(x) != {p}:\n"
+        f"        raise DimensionMismatch(f'expected {p} features, got {{len(x)}}')\n"
+        f"    {''.join(f'x{j}, ' for j in range(p))}= x\n"
+        f"    return [{', '.join(terms)}]\n"
+    )
+    namespace = {"DimensionMismatch": DimensionMismatch}
+    exec(compile(source, "<pca_ids.mvstats._standardizer>", "exec"), namespace)
+    return namespace["standardize"]
 
 
 def standardized_correlation(z: np.ndarray, params: StandardizationParams) -> np.ndarray:

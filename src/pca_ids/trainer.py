@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import detector
 from .kdd import Dataset, FeatureProfile, encode_normals
-from .mvstats import _standardize, eigen_sym, fit_standardizer, standardized_correlation
+from .mvstats import _standardizer, eigen_sym, fit_standardizer, standardized_correlation
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,8 +68,9 @@ class PcaModel:
     """Everything the online phase needs, immutable once fitted.
 
     The numbers are Python lists laid out as the model document holds them,
-    so loading, verifying and scoring one record need no numpy; a record
-    and a block both pass the model itself to ``mvstats._standardize``.
+    so loading, verifying and scoring one record need no numpy. A record and
+    a block both go through the functions compiled from them once per model,
+    ``standardize`` and ``scorer``; ``fit`` hands its own to the model.
     """
 
     profile: FeatureProfile
@@ -84,6 +85,12 @@ class PcaModel:
     t_major: float
     t_minor: float | None
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def standardize(self):
+        """This model's compiled ``mvstats._standardizer``, built once per
+        model: ``standardize(x, zero=0.0) -> z``."""
+        return _standardizer(self.mean, self.std, self.degenerate)
 
     @cached_property
     def scorer(self):
@@ -183,9 +190,18 @@ def fit(
             f"non-finite mean or std of {', '.join(names)} over the training "
             "normals: values too large to standardize"
         )
+    # The model's numbers, in the layout a loaded model has: the training
+    # normals are standardized and scored by the functions that a load of
+    # this model builds, and the model is handed them.
+    numbers = {
+        "mean": standardizer.mean.tolist(),
+        "std": standardizer.std.tolist(),
+        "degenerate": standardizer.degenerate.tolist(),
+    }
+    standardize = _standardizer(**numbers)
     zero = np.zeros(len(X))
     with np.errstate(over="ignore"):  # an overflow becomes inf, which eigen_sym refuses
-        columns = _standardize(X.T, standardizer, zero)
+        columns = standardize(X.T, zero)
     del X  # the one n x p copy kept from here on; stacked only for the correlation
     eigen = eigen_sym(standardized_correlation(np.column_stack(columns), standardizer))
     p = profile.p
@@ -205,15 +221,8 @@ def fit(
         )
         r = shrunk
 
-    # The model's numbers, in the layout a loaded model has: the training
-    # normals are scored by the scorer that a load of this model builds.
-    numbers = {
-        "mean": standardizer.mean.tolist(),
-        "std": standardizer.std.tolist(),
-        "degenerate": standardizer.degenerate.tolist(),
-        "eigenvalues": eigen.values.tolist(),
-        "eigenvectors": eigen.vectors.T.tolist(),
-    }
+    numbers["eigenvalues"] = eigen.values.tolist()
+    numbers["eigenvectors"] = eigen.vectors.T.tolist()
     scorer = detector._scorer(numbers["eigenvalues"], numbers["eigenvectors"], q, r)
     with np.errstate(over="ignore", invalid="ignore"):  # see detector._scorer
         majc, minc = scorer(columns, zero)
@@ -230,7 +239,7 @@ def fit(
         "auto_r": auto_r,
         "config": asdict(config),
     }
-    return PcaModel(
+    model = PcaModel(
         profile=profile,
         encoder=encoder,
         **numbers,
@@ -240,3 +249,6 @@ def fit(
         t_minor=t_minor,
         metadata=metadata,
     )
+    # the cached_property slots: the model compiles neither function again
+    model.__dict__.update(standardize=standardize, scorer=scorer)
+    return model

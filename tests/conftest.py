@@ -24,7 +24,7 @@ from pca_ids import (
     fit,
     parse_record,
 )
-from pca_ids.mvstats import _standardize, fit_standardizer, standardized_correlation
+from pca_ids.mvstats import _standardizer, fit_standardizer, standardized_correlation
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI run
 # cannot fail on an example no earlier run has seen.
@@ -165,14 +165,20 @@ def read_through(dataset: Dataset) -> Dataset:
     return dataset
 
 
+def compiled_standardize(params):
+    """The standardize that ``fit`` compiles from a ``StandardizationParams``:
+    ``mvstats._standardizer`` of its arrays as lists."""
+    return _standardizer(params.mean.tolist(), params.std.tolist(), params.degenerate.tolist())
+
+
 def correlation_of(data, params=None) -> np.ndarray:
     """The sample correlation matrix of an n x p matrix, built as ``fit``
-    builds it: ``_standardize`` on its columns (by ``params``, or by the
-    matrix's own), stacked, then ``standardized_correlation``."""
+    builds it: the compiled standardize on its columns (by ``params``, or by
+    the matrix's own), stacked, then ``standardized_correlation``."""
     data = np.asarray(data, dtype=float)
     if params is None:
         params = fit_standardizer(data)
-    columns = _standardize(data.T, params, np.zeros(len(data)))
+    columns = compiled_standardize(params)(data.T, np.zeros(len(data)))
     return standardized_correlation(np.column_stack(columns), params)
 
 

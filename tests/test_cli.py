@@ -303,6 +303,30 @@ class TestEvaluate:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith(printed)
 
+    @pytest.mark.parametrize("preset", ["step1", "step2"])
+    def test_classify_of_a_long_file_never_imports_numpy(
+        self, preset, corpus_file, corpus_lines, tmp_path, capsys
+    ):
+        # 3,000 lines, nearly three of the other file commands' blocks:
+        # classify scores every record alone, whatever the input's length
+        model = str(tmp_path / f"{preset}.json")
+        code, _, err = run_cli(
+            ["train", "--data", corpus_file, "--preset", preset, "--out", model], capsys
+        )
+        assert code == 0, err
+        long = tmp_path / "long.txt"
+        long.write_text("".join(corpus_lines[k % len(corpus_lines)] + "\n" for k in range(3000)))
+        argv = ["classify", "--model", model, "--input", str(long)]
+        code = (
+            "import sys; from pca_ids.cli import main; "
+            f"assert main({argv!r}) == 0; sys.exit('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"verdict=") == 3000
+
     def test_every_layer_module_imports_without_numpy(self):
         # perfbench's tracer looks the seven layers up in sys.modules. The
         # package loads six; cli, the entry point, is not imported by the
@@ -500,7 +524,6 @@ class TestClassify:
     def test_file_blocks_match_stdin_byte_for_byte(
         self, preset_model, awkward, capsys, monkeypatch
     ):
-        monkeypatch.setattr(kdd, "CHUNK_LINES", 3)
         from_file = run_cli_without_warnings(
             ["classify", "--model", preset_model, "--input", str(awkward)], capsys
         )
@@ -525,8 +548,9 @@ class TestClassify:
     def test_first_block_boundary_matches_stdin_byte_for_byte(
         self, extra, preset_model, corpus_lines, tmp_path, capsys, monkeypatch
     ):
-        # An input that ends within its first block is classified one record
-        # at a time, as stdin is; one line more and it is scored as matrices.
+        # kdd.CHUNK_LINES lines and one more, the block size of the other
+        # file commands: classify scores both one record at a time, as stdin
+        # is, and never as a matrix.
         n = kdd.CHUNK_LINES + extra
         lines = [corpus_lines[k % len(corpus_lines)].split(",") for k in range(n)]
         lines[1] = ["1", "2", "3"]
@@ -546,7 +570,7 @@ class TestClassify:
         from_file = run_cli_without_warnings(
             ["classify", "--model", preset_model, "--input", str(path)], capsys
         )
-        assert len(blocks) == 2 * extra
+        assert blocks == []
         stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
         monkeypatch.setattr("sys.stdin", stdin)
         from_stdin = run_cli_without_warnings(["classify", "--model", preset_model], capsys)
@@ -565,9 +589,7 @@ class TestClassify:
         self, trained, awkward, capsys, monkeypatch
     ):
         # perfbench's tracer counts unknown tokens by rebinding extract_features
-        # in every pca_ids namespace that holds it, as done here; blocks of 3
-        # lines put this file on the block path, as the tracer's file is.
-        monkeypatch.setattr(kdd, "CHUNK_LINES", 3)
+        # in every pca_ids namespace that holds it, as done here.
         original = kdd.extract_features
         results = []
 
@@ -590,9 +612,7 @@ class TestClassify:
     def test_to_line_rebound_on_the_class_is_what_both_paths_print(
         self, trained, corpus_lines, tmp_path, capsys, monkeypatch
     ):
-        # perfbench's tracer wraps Verdict.to_line on the class, as done here;
-        # blocks of 2 lines put the 3-line file on the block path.
-        monkeypatch.setattr(kdd, "CHUNK_LINES", 2)
+        # perfbench's tracer wraps Verdict.to_line on the class, as done here.
         original = detector.Verdict.to_line
         monkeypatch.setattr(detector.Verdict, "to_line", lambda self: "seen " + original(self))
         path = tmp_path / "three.txt"
@@ -816,8 +836,9 @@ class TestMalformedLinesNote:
 
 
 class TestBlocks:
-    """Every file command reads its file kdd.CHUNK_LINES lines at a time;
-    the block size changes no byte of any output."""
+    """train, evaluate and sweep read their file kdd.CHUNK_LINES lines at a
+    time, and classify one line at a time; the block size changes no byte of
+    any output."""
 
     @pytest.fixture()
     def files(self, corpus_lines, tmp_path):
@@ -872,7 +893,7 @@ class TestBlocks:
 def test_load_and_classify_name_the_same_malformed_lines(
     trained, corpus_lines, tmp_path, capsys
 ):
-    """A Dataset and classify --input read lines through one block loop, so
+    """A Dataset and classify --input read lines through one line loop, so
     they skip the same blank lines and number the same damaged ones."""
     lines = [line.split(",") for line in corpus_lines[:20]]
     lines[2] = [""]

@@ -13,20 +13,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pca_ids import detector, kdd, mvstats
+from pca_ids import detector, mvstats, trainer
 from pca_ids.detector import (
     StreamVerdict,
     Trigger,
     Verdict,
     _scorer,
     classify,
-    classify_file,
     classify_stream,
     score_records,
 )
 from pca_ids.evaluation import evaluate
 from pca_ids.kdd import BASIC6, PROFILES, Dataset, encode_matrix, extract_features, parse_record
-from pca_ids.mvstats import _standardize
 from pca_ids.trainer import PRESETS, TrainerConfig, fit
 
 from .conftest import correlation_of
@@ -94,7 +92,7 @@ class TestScores:
         score = _scorer(model.eigenvalues, model.eigenvectors, model.profile.p, 0)
         rng = np.random.default_rng(73)
         for idx in rng.integers(0, len(normals), size=10):
-            z = _standardize(X[idx].tolist(), model)
+            z = model.standardize(X[idx].tolist())
             full, _ = score(z)
             oracle = mahalanobis_sq(np.array(z), np.zeros(model.profile.p), r_inv)
             assert full == pytest.approx(oracle, rel=1e-8)
@@ -274,7 +272,8 @@ class TestScoreRecords:
         # of a block (score_records, fit) for every (q, r) split and every
         # degenerate mask, overflowing values and their inf or NaN scores
         # included. The preset models have no degenerate column, so flipped
-        # flags, a list as in a loaded model, reach both forms of _standardize.
+        # flags, a list as in a loaded model, reach the compiled standardize on
+        # floats and on columns.
         p = preset_model.profile.p
         flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p), label="flips")
         degenerate = [flag != flip for flag, flip in zip(preset_model.degenerate, flips)]
@@ -293,9 +292,9 @@ class TestScoreRecords:
         score = _scorer(model.eigenvalues, model.eigenvectors, q, r)
         zero = np.zeros(len(X))
         with np.errstate(over="ignore", invalid="ignore"):
-            block = score(_standardize(X.T, model, zero), zero)
+            block = score(model.standardize(X.T, zero), zero)
         for i, row in enumerate(X.tolist()):
-            alone = score(_standardize(row, model))
+            alone = score(model.standardize(row))
             assert same_scores(alone, (block[0][i], block[1][i]))
 
     @settings(max_examples=60, deadline=None)
@@ -448,11 +447,10 @@ class TestVerdictTypes:
 
     def test_every_path_builds_the_declared_types(self, basic6_model, corpus_lines):
         lines = [corpus_lines[0], "bogus,row", corpus_lines[1]]
-        for classify_lines in (classify_stream, classify_file):
-            items = list(classify_lines(basic6_model, lines))
-            assert [type(item) for item in items] == [StreamVerdict] * 3
-            assert [type(item.verdict) for item in items] == [Verdict, type(None), Verdict]
-            assert [item.error is None for item in items] == [True, False, True]
+        items = list(classify_stream(basic6_model, lines))
+        assert [type(item) for item in items] == [StreamVerdict] * 3
+        assert [type(item.verdict) for item in items] == [Verdict, type(None), Verdict]
+        assert [item.error is None for item in items] == [True, False, True]
 
 
 def count_public_calls(monkeypatch) -> collections.Counter:
@@ -485,27 +483,54 @@ def count_public_calls(monkeypatch) -> collections.Counter:
     return counts
 
 
+def count_builds(monkeypatch) -> dict:
+    """Count the compiles of a model's standardize and scorer, at the names
+    that ``fit`` and ``PcaModel`` call them by."""
+    builds = {"standardize": 0, "scorer": 0}
+
+    def counted(key, build):
+        def wrapper(*args, **kwargs):
+            builds[key] += 1
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(trainer, "_standardizer", counted("standardize", trainer._standardizer))
+    monkeypatch.setattr(detector, "_scorer", counted("scorer", detector._scorer))
+    return builds
+
+
 class TestPublicCalls:
     """A public function is one span per call when perfbench traces, so the
-    per-record work of classify_stream and classify_file calls none but
-    classify."""
+    per-record work of classify_stream calls none but classify, and a block
+    of evaluate none but score_records."""
 
     def test_no_hidden_per_record_public_call(self, traffic10_model, corpus_lines, monkeypatch):
         lines = corpus_lines[:50]
-        model = dataclasses.replace(traffic10_model)  # a copy with no scorer built yet
+        model = dataclasses.replace(traffic10_model)  # a copy with nothing compiled yet
         # this module's names stay the originals, so the entry calls go uncounted
         counts = count_public_calls(monkeypatch)
-        # the compile is private, so counted apart: PcaModel.scorer caches it,
-        # and without the cache it would run once per record
-        builds = []
-        build = detector._scorer
-        monkeypatch.setattr(detector, "_scorer", lambda *args: builds.append(args) or build(*args))
+        # the compiles are private, so counted apart: PcaModel caches them,
+        # and without the cache they would run once per record
+        builds = count_builds(monkeypatch)
         assert len(list(classify_stream(model, lines))) == 50
         assert set(counts) == {"pca_ids.detector.classify"}, counts
+        assert builds == {"standardize": 1, "scorer": 1}
 
-        counts.clear()
-        monkeypatch.setattr(kdd, "CHUNK_LINES", 17)  # three blocks
-        assert len(list(classify_file(model, lines))) == 50
-        assert counts["pca_ids.detector.score_records"] == 3
-        assert max(counts.values()) <= 3, counts
-        assert len(builds) == 1
+    def test_one_score_records_call_per_block(self, traffic10_model, corpus_records, monkeypatch):
+        model = dataclasses.replace(traffic10_model)
+        counts = count_public_calls(monkeypatch)
+        builds = count_builds(monkeypatch)
+        blocks = [corpus_records[:17], corpus_records[17:34], corpus_records[34:50]]
+        cm = evaluate(model, Dataset("three blocks", blocks)).cm
+        assert cm.tp + cm.fn + cm.fp + cm.tn == 50
+        assert counts == {"pca_ids.detector.score_records": 3}, counts
+        assert builds == {"standardize": 1, "scorer": 1}
+
+    def test_fit_hands_its_compiled_functions_to_the_model(
+        self, corpus_records, corpus_lines, monkeypatch
+    ):
+        builds = count_builds(monkeypatch)
+        model = fit(Dataset("train", [corpus_records]), BASIC6)
+        assert len(list(classify_stream(model, corpus_lines[:20]))) == 20
+        assert builds == {"standardize": 1, "scorer": 1}

@@ -1,5 +1,8 @@
 """Standardization, correlation, distances, projection, and the eigensolver."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,10 @@ from pca_ids.mvstats import (
     NoConvergence,
     TooFewRows,
     eigen_sym,
-    _standardize,
     fit_standardizer,
 )
 
-from .conftest import correlation_of
+from .conftest import compiled_standardize, correlation_of
 from .oracles import mahalanobis_sq, pairwise_correlation, welford_mean_std
 
 
@@ -49,12 +51,13 @@ class TestStandardizer:
 
 
 def standardized(x, params) -> np.ndarray:
-    """``_standardize`` of a p-vector as Python floats, or of an n x p matrix
-    by its numpy columns, restacked."""
+    """The standardize compiled from ``params``, on a p-vector as Python
+    floats, or on an n x p matrix by its numpy columns, restacked."""
+    standardize = compiled_standardize(params)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return np.array(_standardize(x.tolist(), params))
-    return np.column_stack(_standardize(x.T, params, np.zeros(len(x))))
+        return np.array(standardize(x.tolist()))
+    return np.column_stack(standardize(x.T, np.zeros(len(x))))
 
 
 def forms(x):
@@ -64,7 +67,8 @@ def forms(x):
 
 
 class TestStandardize:
-    """``_standardize`` on one record's floats and on a block's columns."""
+    """The compiled ``_standardizer`` on one record's floats and on a block's
+    columns."""
 
     @pytest.fixture()
     def params(self):
@@ -98,8 +102,34 @@ class TestStandardize:
 
     def test_dimension_mismatch(self, params):
         for x in forms(np.zeros(5)):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(DimensionMismatch, match="^expected 4 features, got 5$"):
                 standardized(x, params)
+
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("model_name", ["basic6_model", "traffic10_model"])
+    def test_non_finite_constant_refused_by_name(self, request, model_name, field, value):
+        model = request.getfixturevalue(model_name)
+        numbers = list(getattr(model, field))
+        numbers[3] = value
+        damaged = dataclasses.replace(model, **{field: numbers})
+        with pytest.raises(ValueError, match=rf"^cannot score with {field}\[3\] = "):
+            damaged.standardize
+
+    def test_largest_profile_equals_numpy_bitwise(self):
+        # p = 41, every field of a record, compiles; one feature degenerate
+        p = 41
+        rng = np.random.default_rng(41)
+        data = rng.normal(size=(30, p)) * rng.uniform(1e-3, 1e6, size=p)
+        data[:, 17] = 2.5
+        params = fit_standardizer(data)
+        assert params.degenerate.tolist() == [j == 17 for j in range(p)]
+        x = rng.normal(size=(9, p)) * 1e5
+        safe_std = np.where(params.degenerate, 1.0, params.std)
+        expected = np.where(params.degenerate, 0.0, (x - params.mean) / safe_std)
+        assert standardized(x, params).tobytes() == expected.tobytes()
+        for row, want in zip(x, expected):
+            assert standardized(row, params).tobytes() == want.tobytes()
 
 
 class TestCorrelation:
